@@ -1,7 +1,6 @@
 """Fluent stack-spec builder: the front door for composing LabStacks.
 
-Replaces the keyword-soup ``fs_stack_spec``/``kvs_stack_spec`` facade
-methods with a chainable builder::
+Stacks are composed with a chainable builder::
 
     stack = (
         system.stack("/labfs")
@@ -14,9 +13,7 @@ methods with a chainable builder::
 
 ``build()`` returns the :class:`~repro.core.labstack.StackSpec` (for
 callers that inspect or tweak specs before mounting); ``mount()`` builds
-and mounts in one step.  The builder produces *byte-identical* specs to
-the deprecated facade methods — the old methods now delegate here, and a
-regression test pins ``repr(old) == repr(new)``.
+and mounts in one step.
 
 Validation is eager where possible (unknown variant fails at ``.fs()``)
 and otherwise collected at ``build()`` (unknown device names list the
@@ -38,8 +35,7 @@ __all__ = ["StackBuilder", "VARIANTS"]
 
 VARIANTS = ("all", "min", "d")
 
-#: shared uuid sequence for auto-prefixed stacks ("s1", "s2", ...); one
-#: counter for builder and legacy wrappers so ids never collide
+#: shared uuid sequence for auto-prefixed stacks ("s1", "s2", ...)
 _uuid_seq = itertools.count(1)
 
 

@@ -4,20 +4,25 @@ This package lifts the single-machine simulation to a multi-node
 cluster while keeping every determinism guarantee intact:
 
 - :mod:`~repro.cluster.node` — :class:`Node`, one LabStor deployment
-  (devices + Runtime + workers) on the cluster's shared clock, and
+  (devices + Runtime + workers) on its cluster's clock, and
   :class:`ClusterClient`, a client that routes calls node-locally or
   over the fabric;
 - :mod:`~repro.cluster.fabric` — the network cost model
   (:class:`FabricCost`) and directed-link topology
   (:class:`NetworkFabric` / :class:`FabricLink`);
-- :mod:`~repro.cluster.routing` — :class:`Route`, the NIC-queue-pair
+- :mod:`~repro.cluster.routing` — :class:`RemoteRoute` and
+  :class:`RouteExecutor`, the two halves of the NIC-queue-pair
   initiator→target path a remote call rides;
 - :mod:`~repro.cluster.kvs` — :class:`HashRing` consistent-hash
   placement and :class:`ShardedKVS`, the replicated cluster-wide
   GenericKVS surface;
-- :mod:`~repro.cluster.builder` — :class:`Cluster` and the fluent
-  :func:`cluster` / :class:`ClusterBuilder` front door, the public
-  path to multi-node composition.
+- :mod:`~repro.cluster.builder` — the frozen :class:`ClusterSpec`, the
+  one :class:`Cluster` class that hosts any subset of its nodes in an
+  Environment, and the fluent :func:`cluster` / :class:`ClusterBuilder`
+  front door, the public path to multi-node composition;
+- :mod:`~repro.cluster.par` — the same spec under the sharded runner
+  (one node per world): ``build(shards=N)``'s handle and the canned
+  par scenarios.
 
 Quickstart::
 
@@ -32,7 +37,7 @@ Quickstart::
     cl.shutdown()
 """
 
-from .builder import Cluster, ClusterBuilder, cluster
+from .builder import Cluster, ClusterBuilder, ClusterSpec, cluster
 from .fabric import (
     DEFAULT_FABRIC_COST,
     FabricCost,
@@ -42,11 +47,12 @@ from .fabric import (
 )
 from .kvs import FAILOVER_ERRORS, HashRing, ShardedKVS
 from .node import ClusterClient, Node
-from .routing import Route
+from .routing import RemoteRoute, RouteExecutor
 
 __all__ = [
     "Cluster",
     "ClusterBuilder",
+    "ClusterSpec",
     "cluster",
     "Node",
     "ClusterClient",
@@ -55,7 +61,8 @@ __all__ = [
     "FabricCost",
     "FabricTransport",
     "DEFAULT_FABRIC_COST",
-    "Route",
+    "RemoteRoute",
+    "RouteExecutor",
     "HashRing",
     "ShardedKVS",
     "FAILOVER_ERRORS",

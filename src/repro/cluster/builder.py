@@ -1,5 +1,6 @@
-"""Cluster composition: the :class:`Cluster` runtime and the fluent
-:class:`ClusterBuilder` front door.
+"""Cluster composition: the frozen :class:`ClusterSpec`, the
+:class:`Cluster` that hosts it, and the fluent :class:`ClusterBuilder`
+front door.
 
 The builder extends the StackBuilder idiom one level up — nodes instead
 of LabMods, links instead of layer edges::
@@ -8,10 +9,9 @@ of LabMods, links instead of layer edges::
 
     cl = (
         cluster(seed=7)
-        .node("n0").stack("kvs::/t").kvs(variant="min").device("nvme")
-        .node("n1").stack("kvs::/t").kvs(variant="min").device("nvme")
+        .node("n0").stack("kvs::/meta").kvs(variant="min").device("nvme")
+        .node("n1")
         .node("n2", failure_domain="rack-b")
-        .stack("kvs::/t").kvs(variant="min").device("nvme")
         .build()
     )
     skvs = cl.shard_kvs("kvs::/t", replicas=3)
@@ -19,53 +19,174 @@ of LabMods, links instead of layer edges::
 Inside a ``.stack(...)`` scope every chainable StackBuilder knob is
 available (``kvs``, ``fs``, ``device``, ``sched``, ...); calling a
 builder-level verb (``node``, ``link``, ``connect_all``, ``build``,
-``stack``) mounts the pending stack and pops back out.  Note this means
+``stack``) closes the pending stack and pops back out.  Note this means
 ``build()`` after a ``stack(...)`` finishes the **cluster** — compose a
 raw StackSpec through ``node_obj.stack(...)`` if that's what you need.
 
-A Cluster owns exactly one Environment, sanitizer, telemetry pipeline,
-and RngRegistry; nodes and the fabric share them, which is what makes a
-multi-node run a single deterministic simulation.
+The chain only records declarations; ``build()`` freezes them into a
+:class:`ClusterSpec` — topology as pure data — and a :class:`Cluster`
+brings a *subset* of that spec's nodes to life in one Environment:
+
+- ``build()`` hosts every node on one shared clock.  Cross-node messages
+  ride a same-Environment port that delivers each at its arrival time.
+- ``build(shards=N)`` hands the same spec to :mod:`repro.sim.par`, whose
+  every world hosts exactly one node; messages ride the world's egress
+  port and cross at window barriers.
+
+Either way a Cluster owns exactly one Environment, sanitizer, telemetry
+pipeline, and RngRegistry, shared by the nodes it hosts.  Construction
+consults nothing but the spec and the hosted names, and every RNG
+stream is qualified by its node's name, so a node observes the same
+event stream whichever other nodes share its Environment.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
-from ..devices.profiles import DeviceSpec
+from ..builder import StackBuilder
+from ..core.runtime import RuntimeConfig
 from ..errors import FabricError, LabStorError
 from ..kernel.cpu import DEFAULT_COST, CostModel
 from ..obs.telemetry import Telemetry
 from ..obs.telemetry import maybe_attach as _maybe_attach_telemetry
 from ..sim import Environment, RngRegistry
+from ..sim.par import ParMessage
 from ..sim.sanitizer import maybe_attach
-from .fabric import FabricCost, NetworkFabric
+from .fabric import DEFAULT_FABRIC_COST, FabricCost, NetworkFabric
 from .kvs import HashRing, ShardedKVS
 from .node import ClusterClient, Node
-from .routing import Route
+from .routing import RemoteRoute, join_pair
 
-__all__ = ["Cluster", "ClusterBuilder", "cluster"]
+__all__ = ["StackDecl", "NodeDecl", "LinkDecl", "ClusterSpec", "Cluster",
+           "ClusterBuilder", "cluster"]
+
+
+# ----------------------------------------------------------------------
+# the spec: topology as pure data
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class StackDecl:
+    """One mounted stack: the mount path plus the chain of StackBuilder
+    calls that shape it, replayed verbatim when the node is built."""
+
+    mount: str
+    #: ((method, args, kwargs), ...) applied to ``node.stack(mount)``
+    calls: tuple = ()
+
+
+@dataclass(frozen=True)
+class NodeDecl:
+    name: str
+    devices: tuple = ("nvme",)
+    config: Optional[RuntimeConfig] = None
+    failure_domain: Optional[str] = None
+    stacks: tuple = ()
+
+    @property
+    def domain(self) -> str:
+        """Placement constraint: replicas prefer distinct failure domains
+        (rack/row/PDU); undeclared, every node is its own domain."""
+        return self.failure_domain if self.failure_domain is not None else self.name
+
+
+@dataclass(frozen=True)
+class LinkDecl:
+    a: str
+    b: str
+    cost: Optional[FabricCost] = None
+    bidirectional: bool = True
+
+
+@dataclass(frozen=True)
+class ClusterSpec:
+    """A cluster topology as data: everything a :class:`Cluster` needs to
+    build the nodes it hosts, and everything the parallel runner needs
+    for routing + lookahead."""
+
+    seed: int = 0
+    cost: CostModel = field(default=DEFAULT_COST)
+    fabric_cost: Optional[FabricCost] = None
+    nodes: tuple = ()
+    links: tuple = ()
+
+    def node(self, name: str) -> NodeDecl:
+        for d in self.nodes:
+            if d.name == name:
+                return d
+        raise LabStorError(
+            f"spec has no node {name!r}; declared: {self.node_names()}")
+
+    def node_names(self) -> list[str]:
+        return sorted(d.name for d in self.nodes)
+
+    def directed_links(self) -> dict[tuple[str, str], FabricCost]:
+        """Every directed (src, dst) pair and its cost.  No declared
+        links means full mesh over all nodes."""
+        default = self.fabric_cost or DEFAULT_FABRIC_COST
+        links = self.links
+        if not links:
+            names = self.node_names()
+            links = [LinkDecl(a, b) for i, a in enumerate(names)
+                     for b in names[i + 1:]]
+        out: dict[tuple[str, str], FabricCost] = {}
+        for ld in links:
+            out.setdefault((ld.a, ld.b), ld.cost or default)
+            if ld.bidirectional:
+                out.setdefault((ld.b, ld.a), ld.cost or default)
+        return out
+
+    def lookahead_ns(self) -> Optional[int]:
+        links = self.directed_links()
+        if not links:
+            return None
+        return min(c.link_lat_ns for c in links.values())
+
+
+class _SameEnvPort:
+    """Egress port between two nodes that share an Environment: each
+    timestamped message reaches the peer's ingress handler at its
+    arrival time — what :meth:`repro.sim.par.ParWorld.inject` does for a
+    message that crossed a window barrier."""
+
+    def __init__(self, env: Environment, name: str, ingress: dict) -> None:
+        self.env = env
+        self.name = name
+        self.ingress = ingress  # (port, kind) -> handler, cluster-wide
+
+    def send(self, kind: str, arrival_ns: int, req_id: int, nbytes: int,
+             payload: bytes) -> None:
+        msg = ParMessage(self.name, 0, kind, req_id, arrival_ns, nbytes,
+                         payload)
+        handler = self.ingress[(self.name, kind)]
+        self.env.timeout(arrival_ns - self.env.now).callbacks.append(
+            lambda _ev: handler(msg))
 
 
 class Cluster:
-    """A set of nodes on one shared clock, wired by a network fabric.
+    """The nodes of a :class:`ClusterSpec` hosted in one Environment,
+    wired to each other (and to nodes hosted elsewhere) by the fabric.
 
     Build through :func:`cluster` / :class:`ClusterBuilder` — that is the
-    public path to multi-node composition; constructing Node or Route by
-    hand skips topology bookkeeping.
+    public path to multi-node composition.  ``world`` is set by the
+    parallel runner's programs, never by a user: it makes this Cluster
+    host only ``world.node_name``, on the world's Environment and ports.
     """
 
     def __init__(
         self,
+        spec: ClusterSpec,
         *,
-        seed: int = 0,
-        cost: CostModel = DEFAULT_COST,
-        fabric_cost: FabricCost | None = None,
         telemetry: Union[Telemetry, bool, None] = None,
         env: Environment | None = None,
+        world=None,
     ) -> None:
+        self.spec = spec
+        if world is not None:
+            env = world.env
         self.env = env if env is not None else Environment()
-        # one sanitizer / telemetry pipeline for the whole cluster: nodes
+        # one sanitizer / telemetry pipeline for every hosted node: they
         # share the env, and attaching per node would double-count events
         self.sanitizer = maybe_attach(self.env)
         self.telemetry: Optional[Telemetry] = None
@@ -75,74 +196,77 @@ class Cluster:
             self.telemetry = Telemetry().install(self.env)
         elif telemetry is None:
             self.telemetry = _maybe_attach_telemetry(self.env)
-        self.rngs = RngRegistry(seed)
-        self.cost = cost
-        self.fabric = NetworkFabric(self.env, fabric_cost)
+        self.rngs = RngRegistry(spec.seed)
+        self.cost = spec.cost
+        self.fabric = NetworkFabric(self.env, spec.fabric_cost)
+        #: the nodes hosted HERE; the ring, the service registry and the
+        #: topology always cover the whole spec
         self.nodes: dict[str, Node] = {}
-        self._routes: dict[tuple[str, str], Route] = {}
         #: service registry: mount path -> owning node name
         self.services: dict[str, str] = {}
+        self._routes: dict[tuple[str, str], RemoteRoute] = {}
+        self._executors: list = []
         self._clients: list[ClusterClient] = []
-        self._built = False
 
-    # -- topology ------------------------------------------------------
-    def add_node(self, name: str, **kw) -> Node:
-        if self._built:
-            raise LabStorError("cluster is built; topology is frozen")
-        if name in self.nodes:
-            raise LabStorError(f"node {name!r} already in cluster")
-        node = Node(self, name, **kw)
-        self.nodes[name] = node
-        return node
+        hosted = spec.node_names() if world is None else [world.node_name]
+        for name in hosted:
+            decl = spec.node(name)
+            node = self.nodes[name] = Node(
+                self, name, devices=decl.devices, config=decl.config,
+                failure_domain=decl.domain,
+            )
+            for sd in decl.stacks:
+                sb = node.stack(sd.mount)
+                for meth, a, kw in sd.calls:
+                    sb = getattr(sb, meth)(*a, **kw)
+                sb.mount()
+        for decl in spec.nodes:
+            for sd in decl.stacks:
+                self.register_service(sd.mount, decl.name)
+        #: a par world's one node, for its program's callbacks
+        self.node_name: Optional[str] = None if world is None else hosted[0]
+        self.node: Optional[Node] = self.nodes.get(self.node_name)
 
-    def link(self, a: str, b: str, cost: FabricCost | None = None,
-             *, bidirectional: bool = True) -> None:
-        for name in (a, b):
-            if name not in self.nodes:
-                raise FabricError(
-                    f"cannot link unknown node {name!r}; "
-                    f"cluster has {sorted(self.nodes)}"
-                )
-        self.fabric.add_link(a, b, cost, bidirectional=bidirectional)
+        # each env owns its nodes' outbound links; a route needs the
+        # return link too, because the response rides it.  Sorted order
+        # so pids and queue ids assign independently of declaration order
+        directed = spec.directed_links()
+        for (src, dst), cost in sorted(directed.items()):
+            if src in self.nodes:
+                self.fabric.add_link(src, dst, cost, bidirectional=False)
+        ingress: dict = {}
 
-    def connect_all(self, cost: FabricCost | None = None) -> None:
-        """Full mesh over the current node set (idempotent)."""
-        names = sorted(self.nodes)
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                self.fabric.add_link(a, b, cost)
+        def subscribe(port: str, kind: str, handler) -> None:
+            ingress[(port, kind)] = handler
 
-    def build_routes(self) -> None:
-        """Instantiate a Route (NIC QP + proxy client) per directed link.
+        for me, peer in sorted(directed):
+            if me not in self.nodes or (peer, me) not in directed:
+                continue
+            if world is None:
+                port = _SameEnvPort(self.env, f"{me}->{peer}", ingress)
+                on_message = subscribe
+            else:
+                port, on_message = world.out_port(peer), world.on_message
+            route, executor = join_pair(
+                self.env, self.nodes[me], peer, self.fabric.link(me, peer),
+                port, on_message)
+            self._routes[(me, peer)] = route
+            self._executors.append(executor)
+            if world is not None:
+                world.register_route(route)
+                world.register_executor(executor)
 
-        Setup-time only: each route's proxy connect drives the sim.
-        Routes are created in sorted (src, dst) order so pids and queue
-        ids assign deterministically regardless of declaration order."""
-        for src, dst in sorted(
-            (a, b) for a in self.nodes for b in self.nodes
-            if a != b and self.fabric.connected(a, b)
-        ):
-            if (src, dst) not in self._routes:
-                self._routes[(src, dst)] = Route(
-                    self, self.nodes[src], self.nodes[dst]
-                )
-        self._built = True
-
-    def route(self, src: str, dst: str) -> Route:
+    def route(self, src: str, dst: str) -> RemoteRoute:
         try:
             return self._routes[(src, dst)]
         except KeyError:
-            hint = (
-                "cluster not built yet — call build()"
-                if not self._built
-                else f"declared routes: {sorted(self._routes)}"
-            )
-            raise FabricError(f"no route {src}->{dst}; {hint}") from None
+            raise FabricError(
+                f"no route {src}->{dst}; nodes {sorted(self.nodes)} have "
+                f"routes {sorted(self._routes)}") from None
 
     # -- services ------------------------------------------------------
     def register_service(self, path: str, node_name: str) -> None:
-        if node_name not in self.nodes:
-            raise LabStorError(f"unknown node {node_name!r}")
+        self.spec.node(node_name)  # raises on an unknown node
         owner = self.services.get(path)
         if owner is not None and owner != node_name:
             raise LabStorError(
@@ -166,14 +290,16 @@ class Cluster:
 
     # -- clients and sharding ------------------------------------------
     def client(self, node: str | None = None, ordered: bool = True) -> ClusterClient:
-        """A cluster-wide client homed on ``node`` (default: first node
-        in sorted order).  Setup-time only — connecting runs the sim."""
-        if not self.nodes:
-            raise LabStorError("cluster has no nodes")
-        home = self.nodes[node] if node is not None else (
-            self.nodes[sorted(self.nodes)[0]]
-        )
-        c = ClusterClient(self, home, ordered=ordered)
+        """A cluster-wide client homed on ``node`` (default: first
+        hosted node in sorted order).  Setup-time only — connecting runs
+        the sim."""
+        name = node if node is not None else min(self.nodes)
+        if name not in self.nodes:
+            self.spec.node(name)  # raises on an unknown node
+            raise FabricError(
+                f"node {name!r} is hosted in another world; this one has "
+                f"{sorted(self.nodes)}")
+        c = ClusterClient(self, self.nodes[name], ordered=ordered)
         self._clients.append(c)
         return c
 
@@ -193,12 +319,15 @@ class Cluster:
     ) -> ShardedKVS:
         """Shard (and replicate) a GenericKVS namespace across every node.
 
-        Mounts a LabKVS stack at ``mount`` on each node that does not
-        already carry one, builds the consistent-hash ring over
-        ``(name, failure_domain)``, and returns the sharded surface.
+        Mounts a LabKVS stack at ``mount`` on each hosted node that does
+        not already carry one, builds the consistent-hash ring over the
+        whole spec's ``(name, failure_domain)``, and returns the sharded
+        surface.
         """
-        if not self._built:
-            raise LabStorError("build() the cluster before sharding a KVS")
+        if anti_entropy and len(self.nodes) < len(self.spec.nodes):
+            raise LabStorError(
+                "anti-entropy registers restart hooks on every replica "
+                "node, and some are hosted in other worlds")
         for name in sorted(self.nodes):
             node = self.nodes[name]
             try:
@@ -209,8 +338,8 @@ class Cluster:
                      .device(device)
                      .mount())
         ring = HashRing(
-            [(n.name, n.failure_domain)
-             for n in (self.nodes[k] for k in sorted(self.nodes))],
+            [(d.name, d.domain)
+             for d in sorted(self.spec.nodes, key=lambda d: d.name)],
             vnodes=vnodes,
         )
         return ShardedKVS(
@@ -221,14 +350,13 @@ class Cluster:
 
     # -- faults --------------------------------------------------------
     def install_faults(self, plan, *, node: str) -> object:
-        """Arm a fault plan scoped to one named node."""
-        try:
-            target = self.nodes[node]
-        except KeyError:
-            raise LabStorError(
-                f"unknown node {node!r}; cluster has {sorted(self.nodes)}"
-            ) from None
-        return target.install_faults(plan)
+        """Arm a fault plan scoped to one named node.  Programs declare
+        faults symmetrically in every world; only the world hosting
+        ``node`` arms them, the rest get None."""
+        if node not in self.nodes:
+            self.spec.node(node)  # raises on an unknown node
+            return None
+        return self.nodes[node].install_faults(plan)
 
     # -- lifecycle -----------------------------------------------------
     def stats(self) -> dict:
@@ -245,8 +373,8 @@ class Cluster:
         }
 
     def shutdown(self, drain: bool = True) -> None:
-        """Tear the whole cluster down: drain NIC queue pairs, close
-        routes and clients, stop every node's Runtime daemons."""
+        """Tear every hosted node down: drain NIC queue pairs, close
+        routes, executors and clients, stop the Runtime daemons."""
         if drain:
             # a route to a dead node still drains: its in-flight ops ride
             # out the crash window and complete as NACKs
@@ -257,6 +385,8 @@ class Cluster:
         self._clients.clear()
         for key in sorted(self._routes):
             self._routes[key].close()
+        for ex in self._executors:
+            ex.close()
         for name in sorted(self.nodes):
             self.nodes[name].shutdown(drain=drain)
         # unwind the just-scheduled interrupts (same dance as
@@ -272,82 +402,70 @@ class Cluster:
         return self.env.process(gen, **kw)
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return (f"<Cluster nodes={sorted(self.nodes)} "
-                f"routes={len(self._routes)} built={self._built}>")
+        return (f"<Cluster hosts={sorted(self.nodes)} of "
+                f"{self.spec.node_names()} routes={len(self._routes)}>")
+
+
+# ----------------------------------------------------------------------
+# the fluent front door
+# ----------------------------------------------------------------------
+_BUILDER_VERBS = frozenset({"node", "link", "connect_all", "build", "stack"})
 
 
 class _StackScope:
     """A ``.stack(...)`` scope inside a ClusterBuilder chain.
 
-    Chainable StackBuilder knobs return the scope; builder-level verbs
-    flush (mount + register the service) and continue the outer chain.
+    Chainable StackBuilder knobs are recorded and return the scope;
+    builder-level verbs close it and continue the outer chain.  The
+    recorded chain becomes a :class:`StackDecl` at ``build()``.
     """
 
-    _BUILDER_VERBS = frozenset(
-        {"node", "link", "connect_all", "build", "stack"}
-    )
-
-    def __init__(self, outer: "ClusterBuilder", node: Node, mount: str) -> None:
+    def __init__(self, outer: "ClusterBuilder", mount: str) -> None:
         self._outer = outer
-        self._node = node
-        self._inner = node.stack(mount)
         self._mount = mount
-        self._flushed = False
         self._calls: list[tuple] = []
 
-    def _flush(self) -> None:
-        if self._flushed:
-            return
-        self._flushed = True
-        self._inner.mount()
-        self._outer._cluster.register_service(self._mount, self._node.name)
-        self._outer._record_stack(self._node.name, self._mount,
-                                  tuple(self._calls))
-
-    def mount(self):
-        """Mount now and return the outer builder (optional — any
-        builder verb flushes implicitly)."""
-        self._flush()
+    def mount(self) -> "ClusterBuilder":
+        """Close the scope and return the outer builder (optional — any
+        builder verb closes it implicitly)."""
         return self._outer
 
     def __getattr__(self, name: str):
         if name.startswith("_"):
             raise AttributeError(name)
-        if name in self._BUILDER_VERBS:
-            self._flush()
+        if name in _BUILDER_VERBS:
             return getattr(self._outer, name)
-        attr = getattr(self._inner, name)
-        if not callable(attr):
-            return attr
+        if not callable(getattr(StackBuilder, name, None)):
+            raise AttributeError(f"StackBuilder has no knob {name!r}")
 
-        def proxy(*args, **kw):
-            out = attr(*args, **kw)
-            if out is self._inner:
-                # a chainable knob — record it so the scope can be
-                # replayed verbatim inside each shard's private world
-                self._calls.append((name, args, kw))
-                return self
-            return out
+        def record(*args, **kw):
+            self._calls.append((name, args, kw))
+            return self
 
-        return proxy
+        return record
 
 
 class ClusterBuilder:
-    """Fluent cluster composition (create via :func:`cluster`)."""
+    """Fluent cluster composition (create via :func:`cluster`).
 
-    def __init__(self, **cluster_kw) -> None:
-        self._cluster = Cluster(**cluster_kw)
-        self._cluster_kw = dict(cluster_kw)
-        self._current: Node | None = None
-        self._linked = False
-        # declaration log so build(shards=N) can freeze the topology as
-        # data and replay it node-by-node inside forked shard worlds
-        self._node_decls: list[dict] = []
-        self._stack_decls: dict[str, list] = {}
-        self._link_decls: list[tuple] = []
+    Holds declarations only — no Node, Runtime or Environment exists
+    until :meth:`build`."""
 
-    def _record_stack(self, node_name: str, mount: str, calls: tuple) -> None:
-        self._stack_decls.setdefault(node_name, []).append((mount, calls))
+    def __init__(
+        self,
+        *,
+        seed: int = 0,
+        cost: CostModel = DEFAULT_COST,
+        fabric_cost: FabricCost | None = None,
+        telemetry: Union[Telemetry, bool, None] = None,
+        env: Environment | None = None,
+    ) -> None:
+        self._spec = ClusterSpec(seed=seed, cost=cost, fabric_cost=fabric_cost)
+        self._telemetry = telemetry
+        self._env = env
+        self._nodes: list[NodeDecl] = []
+        self._stacks: dict[str, list[_StackScope]] = {}
+        self._links: list[LinkDecl] = []
 
     def node(
         self,
@@ -358,98 +476,79 @@ class ClusterBuilder:
         failure_domain: str | None = None,
     ) -> "ClusterBuilder":
         """Add a node; subsequent ``stack()`` calls target it."""
-        if devices is not None:
-            devices = tuple(
-                d if isinstance(d, DeviceSpec) else d for d in devices
-            )
-        self._current = self._cluster.add_node(
-            name, devices=devices, config=config, failure_domain=failure_domain
-        )
-        self._node_decls.append({
-            "name": name, "devices": devices, "config": config,
-            "failure_domain": failure_domain,
-        })
+        if name in self._stacks:
+            raise LabStorError(f"node {name!r} already in cluster")
+        self._nodes.append(NodeDecl(
+            name, devices=tuple(devices), config=config,
+            failure_domain=failure_domain,
+        ))
+        self._stacks[name] = []
         return self
 
     def stack(self, mount: str) -> _StackScope:
         """Open a stack scope on the current node."""
-        if self._current is None:
+        if not self._nodes:
             raise LabStorError("call node(...) before stack(...)")
-        return _StackScope(self, self._current, mount)
+        scope = _StackScope(self, mount)
+        self._stacks[self._nodes[-1].name].append(scope)
+        return scope
 
     def link(self, a: str, b: str, cost: FabricCost | None = None,
              *, bidirectional: bool = True) -> "ClusterBuilder":
-        self._cluster.link(a, b, cost, bidirectional=bidirectional)
-        self._linked = True
-        self._link_decls.append((a, b, cost, bidirectional))
+        for name in (a, b):
+            if name not in self._stacks:
+                raise FabricError(
+                    f"cannot link unknown node {name!r}; "
+                    f"cluster has {sorted(self._stacks)}"
+                )
+        if a == b:
+            raise FabricError(f"node {a!r} needs no link to itself")
+        self._links.append(LinkDecl(a, b, cost, bidirectional))
         return self
 
     def connect_all(self, cost: FabricCost | None = None) -> "ClusterBuilder":
-        self._cluster.connect_all(cost)
-        self._linked = True
-        self._link_decls.append(("*", "*", cost, True))
+        """Full mesh over the nodes declared so far."""
+        names = sorted(self._stacks)
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                self._links.append(LinkDecl(a, b, cost))
         return self
 
-    def _freeze_spec(self):
-        from .par import ClusterSpec, LinkDecl, NodeDecl, StackDecl
-
-        nodes = tuple(
-            NodeDecl(
-                d["name"], devices=d["devices"], config=d["config"],
-                failure_domain=d["failure_domain"],
-                stacks=tuple(
-                    StackDecl(mount, calls)
-                    for mount, calls in self._stack_decls.get(d["name"], [])
-                ),
-            )
-            for d in self._node_decls
-        )
-        names = sorted(d["name"] for d in self._node_decls)
-        links: list = []
-        for rec in self._link_decls:
-            if rec[0] == "*":  # connect_all marker: expand the full mesh
-                for i, a in enumerate(names):
-                    for b in names[i + 1:]:
-                        links.append(LinkDecl(a, b, rec[2], True))
-            else:
-                a, b, cost, bidi = rec
-                links.append(LinkDecl(a, b, cost, bidi))
-        kw = self._cluster_kw
-        return ClusterSpec(
-            seed=kw.get("seed", 0), cost=kw.get("cost", DEFAULT_COST),
-            fabric_cost=kw.get("fabric_cost"),
-            nodes=nodes, links=tuple(links),
-        )
-
     def build(self, shards: int | None = None):
-        """Finalize the topology.
+        """Freeze the declarations into a :class:`ClusterSpec` and bring
+        it to life.  No declared links means a full mesh.
 
-        ``build()`` defaults to a full mesh when no links were declared,
-        instantiates all routes, and returns the live :class:`Cluster`.
+        ``build()`` returns a live :class:`Cluster` hosting every node
+        on one clock.
 
-        ``build(shards=N)`` instead freezes the recorded declarations
-        into a :class:`~repro.cluster.par.ClusterSpec` and returns a
+        ``build(shards=N)`` returns a
         :class:`~repro.cluster.par.ParHandle` whose ``run(...)`` executes
-        the topology under the conservative windowed parallel runner —
-        node-sharded across ``N`` processes, byte-identical to serial.
+        the same spec under the conservative windowed parallel runner —
+        one Cluster per node, sharded across ``N`` processes,
+        byte-identical at every ``N``.
         """
+        spec = replace(
+            self._spec,
+            nodes=tuple(
+                replace(d, stacks=tuple(
+                    StackDecl(sc._mount, tuple(sc._calls))
+                    for sc in self._stacks[d.name]))
+                for d in self._nodes),
+            links=tuple(self._links),
+        )
         if shards is None:
-            if not self._linked and len(self._cluster.nodes) > 1:
-                self._cluster.connect_all()
-            self._cluster.build_routes()
-            return self._cluster
+            return Cluster(spec, telemetry=self._telemetry, env=self._env)
         if not isinstance(shards, int) or shards < 1:
             raise LabStorError(f"shards must be a positive int, got {shards!r}")
-        if self._cluster_kw.get("env") is not None:
+        if self._env is not None or self._telemetry is not None:
             raise LabStorError(
-                "build(shards=N) owns its environments per node-world; "
-                "drop env= from cluster(...)"
+                "build(shards=N) gives every node-world its own Environment "
+                "and telemetry pipeline; drop env= / telemetry= from "
+                "cluster(...) (REPRO_TELEMETRY=1 instruments every world)"
             )
         from .par import ParHandle
 
-        # the eagerly-built parent Cluster is discarded unrouted: shard
-        # worlds rebuild their node subset from the frozen spec instead
-        return ParHandle(self._freeze_spec(), shards)
+        return ParHandle(spec, shards)
 
 
 def cluster(**kw) -> ClusterBuilder:

@@ -67,25 +67,14 @@ class FabricLink:
         self.transfers = 0
         self.bytes_moved = 0
 
-    def transfer(self, nbytes: int):
-        """Process generator: move ``nbytes`` across the link."""
-        with self._wire.request() as grant:
-            yield grant
-            yield self.env.timeout(self.cost.serialize_ns(nbytes))
-        yield self.env.timeout(self.cost.link_lat_ns)
-        self.transfers += 1
-        self.bytes_moved += nbytes
-
     def send(self, nbytes: int):
         """Process generator: serialize ``nbytes`` onto the wire and
         return the **arrival time** without sleeping out the propagation.
 
-        The sharded runner's transport: the sender only experiences the
-        wire occupancy (identical contention to :meth:`transfer`); the
-        propagation term is realized on the *receiving* environment as the
-        returned ``release + link_lat_ns`` delivery timestamp.  Counters
-        move at wire release, exactly when :meth:`transfer` would have
-        started the flight.
+        What a route's port carries: the sender only experiences the wire
+        occupancy; the propagation term is realized at the receiver as
+        the returned ``release + link_lat_ns`` delivery timestamp.
+        Counters move at wire release, when the flight starts.
         """
         with self._wire.request() as grant:
             yield grant
@@ -93,6 +82,12 @@ class FabricLink:
         self.transfers += 1
         self.bytes_moved += nbytes
         return self.env.now + self.cost.link_lat_ns
+
+    def transfer(self, nbytes: int):
+        """Process generator: move ``nbytes`` across the link, returning
+        once they have arrived."""
+        arrival = yield from self.send(nbytes)
+        yield self.env.timeout(arrival - self.env.now)
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (f"<FabricLink {self.src}->{self.dst} "

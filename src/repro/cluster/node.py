@@ -2,11 +2,12 @@
 
 A :class:`Node` is what :class:`~repro.system.LabStorSystem` is to a
 single machine — its own devices, Runtime, workers, and clients — except
-it rides the **cluster's** shared discrete-event clock, RNG registry,
-sanitizer, and telemetry instead of owning them.  That sharing is the
-whole point: every node of the cluster advances on one virtual timeline,
-so cross-node interactions (fabric transfers, replica fan-out, failure
-and recovery) are globally ordered and digest-reproducible.
+it rides its **cluster's** discrete-event clock, RNG registry,
+sanitizer, and telemetry instead of owning them.  Nodes hosted by the
+same :class:`~repro.cluster.Cluster` advance on one virtual timeline;
+either way cross-node interactions (fabric transfers, replica fan-out,
+failure and recovery) are timestamped messages, so they are globally
+ordered and digest-reproducible.
 
 Node deliberately duck-types the slice of the LabStorSystem surface the
 rest of the codebase composes against: :class:`~repro.builder.StackBuilder`
@@ -16,7 +17,7 @@ needs ``.devices`` / ``.runtime`` / ``.install_faults``, and
 as they do on a standalone system, unchanged.
 
 Construct nodes through :class:`~repro.cluster.ClusterBuilder`, not
-directly; the builder owns topology and route construction.
+directly; the Cluster owns topology and route construction.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = ["Node", "ClusterClient"]
 
 
 class Node:
-    """One machine of the cluster: devices + Runtime on the shared clock."""
+    """One machine of the cluster: devices + Runtime on the cluster's clock."""
 
     def __init__(
         self,
@@ -135,9 +136,9 @@ class ClusterClient:
     Local calls go straight through the node's shared-memory queue pair,
     exactly like a standalone LabStorClient.  Remote calls ride the
     home node's NIC queue pair onto the fabric (see
-    :class:`~repro.cluster.routing.Route`): serialize out, execute on
-    the owning node through that route's proxy client, serialize the
-    response back, reap the NIC completion.
+    :mod:`repro.cluster.routing`): serialize out, execute on the owning
+    node through its executor's proxy client, serialize the response
+    back, reap the NIC completion.
 
     Create via :meth:`Cluster.client` during setup — connecting runs the
     IPC handshake with ``env.run``, which must not happen mid-simulation.

@@ -1,311 +1,37 @@
-"""Per-node cluster views and the par-capable scenario programs.
+"""The cluster under the parallel runner: par-capable scenario programs
+and the ``build(shards=N)`` handle.
 
 The sharded runner (:mod:`repro.sim.par`) gives every node its own
-private Environment; this module supplies the cluster-side half of that
-bargain.  A :class:`ClusterSpec` is pure data — node declarations, stack
-chains, link costs — from which each world deterministically rebuilds
-*its own node only*.  :class:`ParClusterView` then duck-types the
-:class:`~repro.cluster.Cluster` surface a driver needs
-(``client()``/``route()``/``owner_of()``/``shard_kvs()``) with
-cross-node calls carried by :class:`~repro.cluster.routing.RemoteRoute`
-/ :class:`~repro.cluster.routing.RouteExecutor` pairs over the runner's
-timestamped message ports instead of a shared proxy client.
+private Environment; a program here answers ``build(world)`` with a
+:class:`~repro.cluster.Cluster` that hosts just ``world.node_name`` out
+of the program's :class:`~repro.cluster.builder.ClusterSpec`.  It is the
+same class, routes and :meth:`~repro.cluster.Cluster.shard_kvs` as the
+all-nodes-on-one-clock placement; only the egress ports differ (the
+world's, exchanged at window barriers).
 
-Because a world's construction consults nothing but the spec and its
-own node name, the event stream each node observes is identical whether
-its world shares a process with every other node (``shards=1``) or runs
-alone in a fork — the invariant the byte-identical-digest guarantee
-rests on.
-
-Wiring rule, per bidirectionally-linked pair ``(me, peer)``:
-
-- one egress port ``"me->peer"`` (shared sequence counter);
-- a :class:`RemoteRoute` sending ``("me->peer", req)`` messages and
-  consuming ``("peer->me", resp)`` ingress;
-- a :class:`RouteExecutor` consuming ``("peer->me", req)`` ingress and
-  answering on the same ``"me->peer"`` port — responses share the
-  locally-owned outbound :class:`~repro.cluster.fabric.FabricLink` with
-  this node's own requests, the same wire contention the serial
-  :class:`~repro.cluster.routing.Route` models.
+Because a Cluster's construction consults nothing but the spec and the
+name of the node it hosts, the event stream each node observes is
+identical whether its world shares a process with every other node
+(``shards=1``) or runs alone in a fork — the invariant the
+byte-identical-digest guarantee rests on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Any, Optional
+from typing import Optional
 
 from ..core.runtime import RuntimeConfig
-from ..errors import FabricError, LabStorError
-from ..kernel.cpu import DEFAULT_COST, CostModel
 from ..units import msec, usec
-from .builder import Cluster
-from .fabric import DEFAULT_FABRIC_COST, FabricCost, FabricLink
-from .kvs import HashRing, ShardedKVS
-from .node import ClusterClient, Node
-from .routing import RemoteRoute, RouteExecutor
+from .builder import Cluster, ClusterSpec, NodeDecl
+from .fabric import FabricCost, FabricLink
+from .routing import join_pair
 
 __all__ = [
-    "StackDecl", "NodeDecl", "LinkDecl", "ClusterSpec", "ParClusterView",
     "SpecParProgram", "ClusterParProgram", "ControlParProgram",
     "E14ParProgram", "CallbackParProgram", "ParHandle", "PAR_SCENARIOS",
+    "kvs_closed_loop",
 ]
-
-
-# ----------------------------------------------------------------------
-# the spec: topology as pure data
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class StackDecl:
-    """One mounted stack: the mount path plus the chain of StackBuilder
-    calls that shaped it, replayed verbatim at world build time."""
-
-    mount: str
-    #: ((method, args, kwargs), ...) applied to ``node.stack(mount)``
-    calls: tuple = ()
-
-
-@dataclass(frozen=True)
-class NodeDecl:
-    name: str
-    devices: tuple = ("nvme",)
-    config: Optional[RuntimeConfig] = None
-    failure_domain: Optional[str] = None
-    stacks: tuple = ()
-
-
-@dataclass(frozen=True)
-class LinkDecl:
-    a: str
-    b: str
-    cost: Optional[FabricCost] = None
-    bidirectional: bool = True
-
-
-@dataclass(frozen=True)
-class ClusterSpec:
-    """A cluster topology as data: everything a world needs to rebuild
-    its node, and everything the runner needs for routing + lookahead."""
-
-    seed: int = 0
-    cost: CostModel = field(default=DEFAULT_COST)
-    fabric_cost: Optional[FabricCost] = None
-    nodes: tuple = ()
-    links: tuple = ()
-
-    def node(self, name: str) -> NodeDecl:
-        for d in self.nodes:
-            if d.name == name:
-                return d
-        raise LabStorError(
-            f"spec has no node {name!r}; declared: {self.node_names()}")
-
-    def node_names(self) -> list[str]:
-        return sorted(d.name for d in self.nodes)
-
-    def directed_links(self) -> dict[tuple[str, str], FabricCost]:
-        """Every directed (src, dst) pair and its cost.  No declared
-        links means full mesh — the ClusterBuilder default."""
-        default = self.fabric_cost or DEFAULT_FABRIC_COST
-        out: dict[tuple[str, str], FabricCost] = {}
-        if self.links:
-            for ld in self.links:
-                pairs = ([(ld.a, ld.b), (ld.b, ld.a)] if ld.bidirectional
-                         else [(ld.a, ld.b)])
-                for pair in pairs:
-                    out.setdefault(pair, ld.cost or default)
-        else:
-            names = self.node_names()
-            for i, a in enumerate(names):
-                for b in names[i + 1:]:
-                    out[(a, b)] = out[(b, a)] = default
-        return out
-
-    def lookahead_ns(self) -> Optional[int]:
-        links = self.directed_links()
-        if not links:
-            return None
-        return min(c.link_lat_ns for c in links.values())
-
-
-# ----------------------------------------------------------------------
-# the per-world view
-# ----------------------------------------------------------------------
-class ParClusterView:
-    """One node's local slice of the cluster, duck-typing the Cluster
-    surface drivers and :class:`ShardedKVS` consume.
-
-    The backing :class:`Cluster` holds exactly one node; its RngRegistry
-    is seeded from the spec, and because every stream a node draws is
-    qualified by the node's name, local draws are independent of which
-    other nodes share the process.
-    """
-
-    def __init__(self, spec: ClusterSpec, world) -> None:
-        self.spec = spec
-        self.world = world
-        self.env = world.env
-        self.node_name = world.node_name
-        #: mount path -> owning node name, over the WHOLE spec
-        self.services: dict[str, str] = {}
-        self._routes: dict[tuple[str, str], RemoteRoute] = {}
-        self._executors: list[RouteExecutor] = []
-        self._clients: list[ClusterClient] = []
-        self.cluster: Optional[Cluster] = None
-        self.node: Optional[Node] = None
-
-    # -- construction --------------------------------------------------
-    def build_local(self) -> "ParClusterView":
-        spec, me = self.spec, self.node_name
-        decl = spec.node(me)
-        cl = Cluster(seed=spec.seed, cost=spec.cost,
-                     fabric_cost=spec.fabric_cost, env=self.env)
-        self.cluster = cl
-        self.node = cl.add_node(
-            me, devices=decl.devices, config=decl.config,
-            failure_domain=decl.failure_domain,
-        )
-        for sd in decl.stacks:
-            sb = self.node.stack(sd.mount)
-            for meth, a, kw in sd.calls:
-                sb = getattr(sb, meth)(*a, **kw)
-            sb.mount()
-        for d in spec.nodes:
-            for sd in d.stacks:
-                self.services[sd.mount] = d.name
-        directed = spec.directed_links()
-        for (src, dst), cost in sorted(directed.items()):
-            if src == me:
-                cl.fabric.add_link(src, dst, cost, bidirectional=False)
-        cl._built = True  # sharding is legal once topology is frozen
-        env = self.env
-        for peer in sorted(d.name for d in spec.nodes if d.name != me):
-            if (me, peer) not in directed or (peer, me) not in directed:
-                continue
-            port = self.world.out_port(peer)
-            out = cl.fabric.link(me, peer)
-            route = RemoteRoute(env, me, peer, out, port)
-            self.world.on_message(f"{peer}->{me}", "resp", route.deliver)
-            self.world.register_route(route)
-            self._routes[(me, peer)] = route
-            executor = RouteExecutor(env, peer, self.node, out, port)
-            self.world.on_message(f"{peer}->{me}", "req", executor.deliver)
-            self.world.register_executor(executor)
-            self._executors.append(executor)
-        return self
-
-    # -- Cluster surface -----------------------------------------------
-    def route(self, src: str, dst: str) -> RemoteRoute:
-        try:
-            return self._routes[(src, dst)]
-        except KeyError:
-            raise FabricError(
-                f"no route {src}->{dst} on node {self.node_name!r}; "
-                f"local routes: {sorted(self._routes)}"
-            ) from None
-
-    def owner_of(self, path: str) -> str:
-        best = None
-        for mount, owner in self.services.items():
-            if path == mount or path.startswith(mount):
-                if best is None or len(mount) > len(best[0]):
-                    best = (mount, owner)
-        if best is None:
-            raise LabStorError(
-                f"no cluster service owns {path!r}; "
-                f"registered: {sorted(self.services)}"
-            )
-        return best[1]
-
-    def client(self, node: Optional[str] = None,
-               ordered: bool = True) -> ClusterClient:
-        if node is not None and node != self.node_name:
-            raise FabricError(
-                f"a sharded-runner client homes on its own world; this is "
-                f"{self.node_name!r}, not {node!r}")
-        c = ClusterClient(self, self.node, ordered=ordered)
-        self._clients.append(c)
-        return c
-
-    def shard_kvs(
-        self,
-        mount: str = "kvs::/shard",
-        *,
-        replicas: int = 1,
-        quorum: Optional[int] = None,
-        vnodes: int = 64,
-        variant: str = "min",
-        device: str = "nvme",
-        nworkers: int = 8,
-        timeout_ns: Optional[int] = None,
-        anti_entropy: bool = False,
-    ) -> ShardedKVS:
-        """The :meth:`Cluster.shard_kvs` analogue: mount locally if
-        absent, hash over the *spec's* full ``(name, failure_domain)``
-        metadata, gateway on the local client."""
-        if anti_entropy:
-            raise LabStorError(
-                "anti-entropy registers restart hooks on remote nodes, "
-                "which don't exist in this world — unsupported under the "
-                "sharded runner")
-        try:
-            self.node.runtime.namespace.resolve(mount)
-        except LabStorError:
-            (self.node.stack(mount)
-                 .kvs(variant=variant, nworkers=nworkers)
-                 .device(device)
-                 .mount())
-        ring = HashRing(
-            [(d.name, d.failure_domain)
-             for d in sorted(self.spec.nodes, key=lambda d: d.name)],
-            vnodes=vnodes,
-        )
-        return ShardedKVS(
-            self.client(), mount=mount, ring=ring, replicas=replicas,
-            quorum=quorum, timeout_ns=timeout_ns, anti_entropy=False,
-        )
-
-    def install_faults(self, plan, *, node: str):
-        """Arm ``plan`` iff this world owns ``node`` — programs declare
-        faults symmetrically and only the owning world arms them."""
-        if node != self.node_name:
-            return None
-        return self.node.install_faults(plan)
-
-    def process(self, gen, **kw):
-        return self.env.process(gen, **kw)
-
-    def stats(self) -> dict:
-        return {
-            "node": {"online": self.node.online,
-                     "domain": self.node.failure_domain},
-            "fabric": self.cluster.fabric.stats(),
-            "routes": {
-                f"{s}->{d}": {"remote_calls": r.remote_calls,
-                              "nacks": r.nacks}
-                for (s, d), r in sorted(self._routes.items())
-            },
-        }
-
-    def shutdown(self, drain: bool = True) -> None:
-        env = self.env
-        if drain:
-            for key in sorted(self._routes):
-                env.run(self._routes[key].qp.drained())
-        for c in self._clients:
-            c.close()
-        self._clients.clear()
-        for key in sorted(self._routes):
-            self._routes[key].close()
-        for ex in self._executors:
-            ex.close()
-        self.node.shutdown(drain=drain)
-        while (env._urgent or env._due or env._heap) and env.peek() <= env.now:
-            env.step()
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return (f"<ParClusterView {self.node_name!r} "
-                f"routes={sorted(self._routes)}>")
 
 
 # ----------------------------------------------------------------------
@@ -313,10 +39,10 @@ class ParClusterView:
 # ----------------------------------------------------------------------
 class SpecParProgram:
     """Base for spec-driven parallel programs: owns the ClusterSpec and
-    the world -> view construction; subclasses add drivers and checks."""
+    the world -> one-node Cluster construction; subclasses add drivers
+    and checks."""
 
     epoch_ns = int(msec(1))
-    min_virtual_ns = 0
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
@@ -331,12 +57,12 @@ class SpecParProgram:
     def lookahead_ns(self) -> Optional[int]:
         return self.spec.lookahead_ns()
 
-    def build(self, world) -> ParClusterView:
-        view = ParClusterView(self.spec, world).build_local()
+    def build(self, world) -> Cluster:
+        view = Cluster(self.spec, world=world)
         self.setup(view)
         return view
 
-    def setup(self, view: ParClusterView) -> None:
+    def setup(self, view: Cluster) -> None:
         pass
 
     def drivers(self, world):
@@ -349,7 +75,7 @@ class SpecParProgram:
         return out
 
 
-def _assert_nic_conservation(view: ParClusterView) -> None:
+def assert_nic_conservation(view: Cluster) -> None:
     for (s, d), r in sorted(view._routes.items()):
         qp = r.qp
         assert qp.submitted_total == qp.completed_total, (
@@ -359,11 +85,16 @@ def _assert_nic_conservation(view: ParClusterView) -> None:
 
 
 class ClusterParProgram(SpecParProgram):
-    """The "cluster" scenario under the sharded runner: the same 3-node
-    replicated KVS, power cut on ``b`` at 3 ms, failover reads — with
-    the cut landing mid-window so NACK discipline is exercised across a
+    """The "cluster" scenario: a 3-node sharded+replicated KVS doing
+    cross-fabric puts, a power cut killing replica node ``b`` at 3 ms,
+    then failover reads off the survivors.  Under the sharded runner the
+    cut lands mid-window, so NACK discipline is exercised across a
     barrier (the in-flight replica op on ``b`` rides out the crash and
-    comes back as a timestamped NACK message in a later round)."""
+    comes back as a timestamped NACK message in a later round).
+
+    ``make_spec``/``setup``/``drive`` are the whole scenario;
+    :class:`repro.snap.programs.ClusterProgram` runs the same three on
+    the all-nodes-on-one-clock placement."""
 
     nkeys = 18
 
@@ -377,7 +108,7 @@ class ClusterParProgram(SpecParProgram):
             ),
         )
 
-    def setup(self, view: ParClusterView) -> None:
+    def setup(self, view: Cluster) -> None:
         view.kvs = view.shard_kvs("kvs::/det", replicas=2,
                                   timeout_ns=int(msec(1)))
         view.install_faults(f"power_cut:at={int(msec(3))}", node="b")
@@ -386,9 +117,14 @@ class ClusterParProgram(SpecParProgram):
     def drivers(self, world):
         if world.node_name != "a":
             return []
-        return [("cluster.driver", self._drive(world.ctx))]
+        return [("cluster.driver", self._record(world.ctx))]
 
-    def _drive(self, view: ParClusterView):
+    def _record(self, view: Cluster):
+        view.hits = yield from self.drive(view)
+
+    def drive(self, view: Cluster):
+        """Process generator: the scenario's one client, on node ``a``;
+        returns how many failover reads hit."""
         kvs, env, seed, nkeys = view.kvs, view.env, self.seed, self.nkeys
         for i in range(nkeys):
             yield from kvs.put(f"det{i}", bytes([(i + seed) % 251]) * 96)
@@ -402,7 +138,7 @@ class ClusterParProgram(SpecParProgram):
         # let straggler replica branches (timeouts, crash ride-outs)
         # resolve so the failover count is settled, not racing teardown
         yield env.timeout(int(msec(2)))
-        view.hits = hits
+        return hits
 
     def finish(self, world) -> dict:
         view = world.ctx
@@ -418,7 +154,7 @@ class ClusterParProgram(SpecParProgram):
             out["hits"] = view.hits
             out["failovers"] = view.kvs.failovers
         view.shutdown()
-        _assert_nic_conservation(view)
+        assert_nic_conservation(view)
         return out
 
     def reduce(self, results: dict) -> dict:
@@ -445,7 +181,6 @@ class ControlParProgram:
     round carries real fabric traffic — including NACKs while the peer
     rides out its 6 ms power cut."""
 
-    min_virtual_ns = 0
     names = ("ctl0", "ctl1")
 
     def __init__(self, seed: int = 0, *,
@@ -473,15 +208,14 @@ class ControlParProgram:
             duration_ns=self.duration_ns,
         )
         peer = self.names[1 - idx]
-        link = FabricLink(world.env, me, peer, self._cost)
-        port = world.out_port(peer)
-        route = RemoteRoute(world.env, me, peer, link, port)
-        world.on_message(f"{peer}->{me}", "resp", route.deliver)
-        world.register_route(route)
+        # the deployments are LabStorSystems, not spec-built Nodes, so
+        # this program joins its one pair itself
         host = SimpleNamespace(name=me, runtime=system.runtime,
                                client=system.client)
-        executor = RouteExecutor(world.env, peer, host, link, port)
-        world.on_message(f"{peer}->{me}", "req", executor.deliver)
+        route, executor = join_pair(
+            world.env, host, peer, FabricLink(world.env, me, peer, self._cost),
+            world.out_port(peer), world.on_message)
+        world.register_route(route)
         world.register_executor(executor)
         return SimpleNamespace(system=system, engine=engine, daemon=daemon,
                                route=route, executor=executor, me=me,
@@ -561,6 +295,16 @@ class ControlParProgram:
         }
 
 
+def kvs_closed_loop(kvs, i: int, nops: int, value_size: int):
+    """Process generator: E14's closed-loop client *i* — ``nops`` puts,
+    then ``nops`` gets of the same keys."""
+    payload = bytes(value_size)
+    for j in range(nops):
+        yield from kvs.put(f"c{i}.k{j}", payload)
+    for j in range(nops):
+        yield from kvs.get(f"c{i}.k{j}")
+
+
 class E14ParProgram(SpecParProgram):
     """E14 (sharded KVS scaling) as a parallel program: the same fixed
     offered load — ``nclients`` closed loops, client *i* entering at its
@@ -591,7 +335,7 @@ class E14ParProgram(SpecParProgram):
                         for i in range(self.nnodes)),
         )
 
-    def setup(self, view: ParClusterView) -> None:
+    def setup(self, view: Cluster) -> None:
         view.kvs = view.shard_kvs("kvs::/bench", replicas=self.replicas,
                                   vnodes=self.vnodes)
 
@@ -599,17 +343,11 @@ class E14ParProgram(SpecParProgram):
         idx = int(world.node_name[1:])
         kvs = world.ctx.kvs
         return [
-            (f"bench.loop{i}", self._loop(kvs, i))
+            (f"bench.loop{i}",
+             kvs_closed_loop(kvs, i, self.ops_per_client, self.value_size))
             for i in range(self.nclients)
             if i % self.nnodes == idx
         ]
-
-    def _loop(self, kvs, i: int):
-        payload = bytes(self.value_size)
-        for j in range(self.ops_per_client):
-            yield from kvs.put(f"c{i}.k{j}", payload)
-        for j in range(self.ops_per_client):
-            yield from kvs.get(f"c{i}.k{j}")
 
     def finish(self, world) -> dict:
         view = world.ctx
@@ -620,11 +358,11 @@ class E14ParProgram(SpecParProgram):
                                 for r in view._routes.values()),
             "nacks": sum(r.nacks for r in view._routes.values()),
             "fabric_bytes": sum(
-                s["bytes"] for s in view.cluster.fabric.stats().values()),
+                s["bytes"] for s in view.fabric.stats().values()),
             "failovers": view.kvs.failovers,
         }
         view.shutdown()
-        _assert_nic_conservation(view)
+        assert_nic_conservation(view)
         return out
 
     def reduce(self, results: dict) -> dict:
@@ -655,7 +393,8 @@ class CallbackParProgram(SpecParProgram):
     """A SpecParProgram assembled from user callbacks instead of a
     subclass — what :meth:`ParHandle.run` constructs under the hood.
 
-    Each callback receives the per-node :class:`ParClusterView`:
+    Each callback receives the world's :class:`~repro.cluster.Cluster`,
+    which hosts that one node (``view.node_name`` / ``view.node``):
 
     - ``setup(view)`` runs after the local node is built (mount shards,
       install faults — gate on ``view.node_name``).
@@ -677,7 +416,6 @@ class CallbackParProgram(SpecParProgram):
         finish=None,
         reduce=None,
         epoch_ns: int = int(msec(1)),
-        min_virtual_ns: int = 0,
     ) -> None:
         self.seed = spec.seed
         self.spec = spec
@@ -685,11 +423,10 @@ class CallbackParProgram(SpecParProgram):
         self._setup = setup
         self._finish = finish
         self.epoch_ns = int(epoch_ns)
-        self.min_virtual_ns = int(min_virtual_ns)
         if reduce is not None:
             self.reduce = reduce
 
-    def setup(self, view: ParClusterView) -> None:
+    def setup(self, view: Cluster) -> None:
         if self._setup is not None:
             self._setup(view)
 
@@ -710,8 +447,8 @@ class ParHandle:
     conservative windowed parallel runner::
 
         handle = (cluster(seed=7)
-                  .node("n0").stack("kvs::/t").kvs(variant="min").device("nvme")
-                  .node("n1").stack("kvs::/t").kvs(variant="min").device("nvme")
+                  .node("n0").stack("kvs::/meta").kvs(variant="min").device("nvme")
+                  .node("n1")
                   .build(shards=2))
         result = handle.run(drivers=my_drivers, trace=True)
 
@@ -726,10 +463,6 @@ class ParHandle:
     def lookahead_ns(self) -> Optional[int]:
         return self.spec.lookahead_ns()
 
-    def program(self, **kw) -> CallbackParProgram:
-        """Assemble the program without running it (for run_program)."""
-        return CallbackParProgram(self.spec, **kw)
-
     def run(
         self,
         *,
@@ -738,14 +471,13 @@ class ParHandle:
         finish=None,
         reduce=None,
         epoch_ns: int = int(msec(1)),
-        min_virtual_ns: int = 0,
         trace: bool = False,
     ):
         from ..sim.par import run_program
 
-        program = self.program(
-            drivers=drivers, setup=setup, finish=finish, reduce=reduce,
-            epoch_ns=epoch_ns, min_virtual_ns=min_virtual_ns,
+        program = CallbackParProgram(
+            self.spec, drivers=drivers, setup=setup, finish=finish,
+            reduce=reduce, epoch_ns=epoch_ns,
         )
         return run_program(program, shards=self.shards, trace=trace)
 

@@ -1,25 +1,35 @@
 """Cross-node call routing: NIC queue pairs over fabric links.
 
-One :class:`Route` exists per directed, linked node pair.  Its anatomy
-mirrors a real RDMA/NVMe-oF initiator-target path, built entirely from
-existing primitives:
+One :class:`RemoteRoute` exists per directed node pair that is linked in
+both directions, paired with a :class:`RouteExecutor` on the target
+node.  The anatomy mirrors a real RDMA/NVMe-oF initiator-target path,
+built entirely from existing primitives:
 
 1. the initiator submits a :class:`_RemoteOp` envelope to the route's
    **NIC queue pair** — an unordered private-memory
    :class:`~repro.ipc.QueuePair` whose pop cost is the NIC's WQE fetch
    (``nic_tx_ns``) and whose ``owner`` names the route, so a sanitizer
    conservation failure says *which node's* NIC leaked;
-2. the TX loop pops the envelope, pays the request's serialization +
-   propagation on the outbound :class:`~repro.cluster.fabric.FabricLink`,
-   and executes the request on the target node through the route's
-   **proxy client** (an ordinary unordered LabStorClient connected to
-   the target's Runtime at setup);
-3. the response pays the return link, then the envelope completes on
-   the NIC QP — **always**, as an error completion (NACK) when anything
-   failed, so ``submitted == completed + inflight`` holds through node
-   crashes, timeouts, and unresolvable mounts;
-4. the RX loop reaps completions (``nic_rx_ns`` per reap) and fires the
-   initiator's pending event.
+2. the TX loop pops the envelope, holds the outbound
+   :class:`~repro.cluster.fabric.FabricLink`'s wire for the request's
+   serialization, and posts the pickled request on an egress **port** as
+   a message timestamped ``wire release + link_lat_ns``;
+3. at that arrival time the target's executor runs the request through
+   its **proxy client** (an ordinary unordered LabStorClient connected
+   to the target's Runtime at setup) and posts the response — value or
+   pickled error — back the same way over its own outbound link;
+4. the response completes the envelope on the NIC QP — **always**, as an
+   error completion (NACK) when anything failed, so ``submitted ==
+   completed + inflight`` holds through node crashes, timeouts, and
+   unresolvable mounts — and the RX loop reaps it (``nic_rx_ns`` per
+   reap) and fires the initiator's pending event.
+
+A port is anything with ``send(kind, arrival_ns, req_id, nbytes,
+payload)`` that delivers the message to the peer's ingress handler at
+``arrival_ns``: :class:`repro.sim.par.OutPort` between per-node worlds,
+the cluster's same-Environment port when both nodes share a clock.  The
+route halves cannot tell the two apart, which is what makes the two
+placements one implementation.
 
 Target-node crashes surface naturally: the proxy client's Wait rides
 out the crash window and raises :class:`~repro.errors.RuntimeCrashed`,
@@ -30,17 +40,13 @@ which comes back to the caller as the NACK payload — the signal
 from __future__ import annotations
 
 import pickle
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
 from ..errors import FabricError
 from ..ipc.queue_pair import Completion, QueuePair
 from ..sim import Event, Interrupt
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .builder import Cluster
-    from .node import Node
-
-__all__ = ["Route", "RemoteRoute", "RouteExecutor"]
+__all__ = ["RemoteRoute", "RouteExecutor", "join_pair"]
 
 #: fixed wire overhead per message: headers, op code, key framing
 WIRE_HEADER_BYTES = 64
@@ -60,11 +66,6 @@ def request_wire_bytes(req: Any) -> int:
     return WIRE_HEADER_BYTES + sum(_payload_bytes(v) for v in payload.values())
 
 
-def response_wire_bytes(comp: Completion) -> int:
-    """On-the-wire size of a response (errors are header-sized NACKs)."""
-    return WIRE_HEADER_BYTES + _payload_bytes(comp.value)
-
-
 class _RemoteOp:
     """Envelope a remote call rides through the NIC queue pair."""
 
@@ -77,127 +78,14 @@ class _RemoteOp:
         self.est_ns = 0  # queue-depth estimator input (NIC QPs don't classify)
 
 
-class Route:
-    """One directed initiator→target path (built by the Cluster)."""
-
-    def __init__(self, cluster: "Cluster", src: "Node", dst: "Node") -> None:
-        env = cluster.env
-        self.env = env
-        self.src = src
-        self.dst = dst
-        self.out = cluster.fabric.link(src.name, dst.name)
-        self.back = cluster.fabric.link(dst.name, src.name)
-        self.qp = QueuePair(
-            env,
-            primary=False,
-            ordered=False,
-            depth=4096,
-            segment=None,
-            pop_cost_ns=self.out.cost.nic_tx_ns,
-            owner=f"fabric:{src.name}->{dst.name}",
-        )
-        # target-side execution identity: one unordered client per route,
-        # connected at setup (connect drives the sim; mid-run would break)
-        self.proxy = dst.client(ordered=False)
-        self._pending: dict[int, Event] = {}  # req_id -> initiator event
-        self.remote_calls = 0
-        self.nacks = 0
-        self._tx = env.process(
-            self._tx_loop(), name=f"nic.{src.name}->{dst.name}.tx", daemon=True
-        )
-        self._rx = env.process(
-            self._rx_loop(), name=f"nic.{src.name}->{dst.name}.rx", daemon=True
-        )
-
-    # -- initiator side ------------------------------------------------
-    def call(self, path: str, req: Any, timeout_ns: int | None = None):
-        """Process generator: one remote call, raising the remote error."""
-        ev = self.env.event()
-        self._pending[req.req_id] = ev
-        try:
-            self.qp.submit(_RemoteOp(path, req, timeout_ns))
-            comp = yield ev
-        except BaseException:
-            self._pending.pop(req.req_id, None)
-            raise
-        if comp.error is not None:
-            raise comp.error
-        return comp.value
-
-    # -- NIC loops -------------------------------------------------------
-    def _tx_loop(self):
-        try:
-            while True:
-                op = yield from self.qp.pop_request()  # pays the WQE fetch
-                # each op executes in its own process so a slow or crashed
-                # target never head-of-line blocks the NIC
-                self.env.process(
-                    self._execute(op),
-                    name=f"nic.{self.src.name}->{self.dst.name}.op{op.req.req_id}",
-                    daemon=True,
-                )
-        except Interrupt:
-            return  # route closed
-
-    def _execute(self, op: _RemoteOp):
-        self.remote_calls += 1
-        req = op.req
-        try:
-            yield from self.out.transfer(request_wire_bytes(req))
-            stack, _ = self.dst.runtime.namespace.resolve(op.path)
-            value = yield from self.proxy.call(stack, req, timeout_ns=op.timeout_ns)
-            comp = Completion(req, value=value)
-        except (Interrupt, GeneratorExit):
-            raise
-        except BaseException as exc:  # noqa: BLE001 - becomes the NACK
-            self.nacks += 1
-            comp = Completion(req, error=exc)
-        try:
-            yield from self.back.transfer(response_wire_bytes(comp))
-        except (Interrupt, GeneratorExit):
-            raise
-        except BaseException as exc:  # noqa: BLE001 - return path failed
-            if comp.error is None:
-                self.nacks += 1
-                comp = Completion(req, error=exc)
-        # conservation: every accepted submission completes, ack or NACK
-        self.qp.complete(comp)
-
-    def _rx_loop(self):
-        try:
-            while True:
-                comp = yield from self.qp.pop_completion()  # pays nic_rx-ish reap
-                ev = self._pending.pop(comp.request.req_id, None)
-                if ev is not None and not ev.triggered:
-                    ev.succeed(comp)
-        except Interrupt:
-            return  # route closed
-
-    # -- lifecycle -------------------------------------------------------
-    def close(self) -> None:
-        for proc in (self._tx, self._rx):
-            if proc is not None and proc.is_alive:
-                proc.interrupt("route closed")
-        self._tx = self._rx = None
-        self.proxy.close()
-        self._pending.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return (f"<Route {self.src.name}->{self.dst.name} "
-                f"calls={self.remote_calls} nacks={self.nacks}>")
-
-
-# ----------------------------------------------------------------------
-# split route halves for the sharded runner (repro.sim.par)
-# ----------------------------------------------------------------------
 def pickle_error(exc: BaseException) -> bytes:
     """Pickle a remote failure, verified round-trippable.
 
-    Exception classes whose ``__init__`` signatures don't survive the
-    default ``(cls, args)`` reconstruction (or that drag unpicklable
-    context along) degrade to a :class:`FabricError` carrying the type
-    name and message — the failover-relevant classes (TimeoutError,
-    RuntimeCrashed, WorkerCrashed, ...) all round-trip intact.
+    Every :mod:`repro.errors` class keeps its type, message and
+    attributes (``ReproError.__reduce__``); a foreign exception whose
+    ``__init__`` doesn't survive the default ``(cls, args)``
+    reconstruction (or that drags unpicklable context along) degrades to
+    a :class:`FabricError` carrying the type name and message.
     """
     try:
         blob = pickle.dumps(exc)
@@ -209,18 +97,14 @@ def pickle_error(exc: BaseException) -> bytes:
 
 
 class RemoteRoute:
-    """Initiator half of a :class:`Route` when source and target live on
-    different Environments (the sharded runner).
+    """Initiator half of one directed src→dst path.
 
     The NIC queue pair, the TX serialization on the outbound link, and
-    the RX completion reap all stay on the *source* env — byte-identical
-    cost structure to :class:`Route`.  What changes is step 2→3 of the
-    anatomy: instead of executing through a shared proxy client, the
+    the RX completion reap all live on the *source* node's env.  The
     request is pickled onto an egress port as a timestamped message whose
     arrival is ``wire release + link_lat_ns``; the response comes back
-    the same way and completes the queue pair (ACK or NACK) so NIC
-    conservation holds across node crashes exactly as in the serial
-    route.
+    the same way and completes the queue pair (ACK or NACK), so NIC
+    conservation holds across node crashes.
     """
 
     def __init__(self, env, src_name: str, dst_name: str, out, port) -> None:
@@ -228,7 +112,7 @@ class RemoteRoute:
         self.src_name = src_name
         self.dst_name = dst_name
         self.out = out          # FabricLink src->dst (owned by this env)
-        self.port = port        # egress port toward dst (sim.par.OutPort)
+        self.port = port        # egress port toward dst
         self.qp = QueuePair(
             env,
             primary=False,
@@ -251,7 +135,7 @@ class RemoteRoute:
 
     @property
     def inflight(self) -> int:
-        """Calls awaiting a cross-shard response (termination input)."""
+        """Calls awaiting a response (the runner's termination input)."""
         return len(self._inflight)
 
     # -- initiator side ------------------------------------------------
@@ -390,3 +274,20 @@ class RouteExecutor:
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (f"<RouteExecutor {self.src_name}->{self.node.name} "
                 f"handled={self.handled} active={self.active}>")
+
+
+def join_pair(env, host, peer: str, link, port, on_message):
+    """Stand up ``host``'s halves of the bidirectionally linked pair
+    ``(host, peer)`` and return ``(route, executor)``.
+
+    Both halves send on the one egress ``port`` toward ``peer`` and share
+    the locally-owned outbound ``link`` — responses contend for the wire
+    with this node's own requests.  ``on_message(port_name, kind,
+    handler)`` subscribes them to what ``peer`` sends back: responses to
+    the route, requests to the executor.
+    """
+    route = RemoteRoute(env, host.name, peer, link, port)
+    on_message(f"{peer}->{host.name}", "resp", route.deliver)
+    executor = RouteExecutor(env, peer, host, link, port)
+    on_message(f"{peer}->{host.name}", "req", executor.deliver)
+    return route, executor

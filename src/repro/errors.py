@@ -3,8 +3,22 @@
 from __future__ import annotations
 
 
+def _rebuild(cls, args, state):
+    exc = cls.__new__(cls)
+    exc.args = args
+    exc.__dict__.update(state)
+    return exc
+
+
 class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
+
+    def __reduce__(self):
+        # rebuild without re-running ``__init__``: constructors that
+        # format their message (FsError, PermissionDenied, DeviceError)
+        # do not survive the default ``cls(*self.args)`` round trip, and
+        # a remote error must arrive as the type its caller catches
+        return _rebuild, (type(self), self.args, self.__dict__)
 
 
 class SimulationError(ReproError):

@@ -46,14 +46,6 @@ __all__ = [
 ]
 
 
-def _bench_loop(kvs, i: int, nops: int, value_size: int):
-    payload = bytes(value_size)
-    for j in range(nops):
-        yield from kvs.put(f"c{i}.k{j}", payload)
-    for j in range(nops):
-        yield from kvs.get(f"c{i}.k{j}")
-
-
 def run_cluster_scaling(
     *,
     nnodes: int = 2,
@@ -71,6 +63,7 @@ def run_cluster_scaling(
     count do not change with the node count — so ops/s differences are
     pure capacity."""
     from ..cluster import cluster as cluster_builder
+    from ..cluster.par import kvs_closed_loop
 
     b = cluster_builder(seed=seed)
     cfg = RuntimeConfig(nworkers=1, min_workers=1, max_workers=1)
@@ -85,7 +78,8 @@ def run_cluster_scaling(
     ]
     procs = [
         cl.process(
-            _bench_loop(gateways[i % nnodes], i, ops_per_client, value_size),
+            kvs_closed_loop(gateways[i % nnodes], i, ops_per_client,
+                            value_size),
             name=f"bench.loop{i}",
         )
         for i in range(nclients)

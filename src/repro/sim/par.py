@@ -412,11 +412,11 @@ def _shard_worker(conn, program, names, trace) -> None:
                 return
             else:  # pragma: no cover - protocol error
                 raise SimulationError(f"unknown shard command {cmd!r}")
-    except BaseException:  # noqa: BLE001 - ship the traceback home
+    except Exception:  # noqa: BLE001 - ship the traceback home
         import traceback
         try:
             conn.send(("error", traceback.format_exc()))
-        except Exception:  # pragma: no cover - pipe already gone
+        except OSError:  # pragma: no cover - pipe already gone
             pass
 
 
@@ -430,6 +430,7 @@ class _ForkedShard:
     """
 
     def __init__(self, ctx, program, names, trace: bool) -> None:
+        self.names = names
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(
             target=_shard_worker, args=(child, program, names, trace),
@@ -448,9 +449,18 @@ class _ForkedShard:
         self.conn.send(("finish", None))
 
     def wait(self) -> Any:
-        tag, payload = self.conn.recv()
+        try:
+            tag, payload = self.conn.recv()
+        except (EOFError, OSError) as exc:
+            # the child died without a word (killed, os._exit, interpreter
+            # abort): its end of the pipe closed under us
+            self.proc.join(timeout=5)
+            raise SimulationError(
+                f"shard worker hosting nodes {self.names} died without "
+                f"replying (exit code {self.proc.exitcode})") from exc
         if tag == "error":
-            raise SimulationError(f"shard worker failed:\n{payload}")
+            raise SimulationError(
+                f"shard worker hosting nodes {self.names} failed:\n{payload}")
         return payload
 
     def close(self) -> None:
@@ -514,7 +524,6 @@ def run_program(program, *, shards: int = 1, trace: bool = False,
         raise SimulationError(f"shards must be >= 1, got {shards}")
     shards = min(shards, len(names))
     lookahead = program.lookahead_ns()
-    min_virtual = getattr(program, "min_virtual_ns", 0)
 
     # node i -> shard i % N: a pure function of the sorted node list
     assignment = [names[i::shards] for i in range(shards)]
@@ -543,7 +552,6 @@ def run_program(program, *, shards: int = 1, trace: bool = False,
         messages = 0
         inboxes: list[list[ParMessage]] = [[] for _ in handles]
         done_ok = False
-        last_window = 0
         while True:
             if t_next >= TIME_SENTINEL:
                 if done_ok or rounds == 0:
@@ -556,7 +564,6 @@ def run_program(program, *, shards: int = 1, trace: bool = False,
                     "program has cross-node traffic potential but no links "
                     "to derive a lookahead from")
             window = t_next + lookahead
-            last_window = window
             for h, inbox in zip(handles, inboxes):
                 h.post_step(inbox, window)
             replies = [h.wait() for h in handles]
@@ -585,7 +592,7 @@ def run_program(program, *, shards: int = 1, trace: bool = False,
             messages += routed
             done_ok = (all_done and inflight == 0 and active == 0
                        and routed == 0)
-            if done_ok and (t_next >= TIME_SENTINEL or last_window >= min_virtual):
+            if done_ok:
                 break
 
         for h in handles:

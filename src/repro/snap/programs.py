@@ -205,57 +205,34 @@ class BatchingProgram(Program):
 
 
 class ClusterProgram(Program):
-    """The "cluster" scenario: a 3-node sharded+replicated KVS doing
-    cross-fabric puts, a power cut killing one replica node mid-run,
-    then failover reads off the survivors."""
+    """The "cluster" scenario on the all-nodes-on-one-clock placement:
+    spec, setup and driver body are
+    :class:`repro.cluster.par.ClusterParProgram`'s, here hosted by one
+    Cluster in the audited Environment."""
 
     name = "cluster"
     default_pause_ns = int(msec(2.0))
 
     def build(self, env) -> SimpleNamespace:
-        from ..cluster import cluster as cluster_builder
-        from ..core import RuntimeConfig
+        from ..cluster import Cluster
+        from ..cluster.par import ClusterParProgram
 
-        cfg = RuntimeConfig(nworkers=1, restart_wait_ns=int(usec(50)))
-        cl = (
-            cluster_builder(env=env, seed=11 + self.seed)
-            .node("a", config=cfg, failure_domain="rack-1")
-            .node("b", config=cfg, failure_domain="rack-2")
-            .node("c", config=cfg, failure_domain="rack-3")
-            .build()
-        )
-        kvs = cl.shard_kvs("kvs::/det", replicas=2, timeout_ns=int(msec(1)))
-        cl.install_faults(f"power_cut:at={int(msec(3))}", node="b")
-        return SimpleNamespace(cluster=cl, kvs=kvs, nkeys=18)
+        scenario = ClusterParProgram(self.seed)
+        cl = Cluster(scenario.spec, env=env)
+        scenario.setup(cl)
+        return SimpleNamespace(cluster=cl, scenario=scenario)
 
     def target(self, ctx):
         return ctx.cluster
 
     def drive(self, ctx):
-        cl, kvs, nkeys = ctx.cluster, ctx.kvs, ctx.nkeys
-        env = cl.env
-        seed = self.seed
-
-        def go():
-            for i in range(nkeys):
-                yield from kvs.put(f"det{i}", bytes([(i + seed) % 251]) * 96)
-            # ride past the power cut, then read through the outage
-            if env.now < msec(3):
-                yield env.timeout(int(msec(3)) - env.now + int(usec(100)))
-            hits = 0
-            for i in range(nkeys):
-                if (yield from kvs.get(f"det{i}")) == bytes([(i + seed) % 251]) * 96:
-                    hits += 1
-            # let the straggler replica branches (timeouts, crash ride-outs)
-            # resolve so the failover count is settled, not racing teardown
-            yield env.timeout(int(msec(2)))
-            return hits
-
-        return cl.process(go())
+        return ctx.cluster.process(ctx.scenario.drive(ctx.cluster))
 
     def finish(self, ctx, value) -> dict[str, Any]:
-        cl, kvs, nkeys = ctx.cluster, ctx.kvs, ctx.nkeys
-        hits = value
+        from ..cluster.par import assert_nic_conservation
+
+        cl, nkeys = ctx.cluster, ctx.scenario.nkeys
+        kvs, hits = cl.kvs, value
         assert hits == nkeys, f"failover reads lost keys ({hits}/{nkeys})"
         assert not cl.nodes["b"].online, "power cut never fired"
         assert kvs.failovers > 0, "no replica branch ever failed over"
@@ -263,11 +240,7 @@ class ClusterProgram(Program):
         assert remote > 0, "no call ever crossed the fabric"
         stats = cl.stats()
         cl.shutdown()
-        for route in cl._routes.values():
-            qp = route.qp
-            assert qp.submitted_total == qp.completed_total, (
-                f"{qp.owner_tag}: NIC conservation broken after shutdown"
-            )
+        assert_nic_conservation(cl)
         return {
             "hits": hits,
             "remote_calls": remote,

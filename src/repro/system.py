@@ -14,9 +14,8 @@ Stacks are composed through the fluent :class:`~repro.builder.StackBuilder`::
     sys_ = LabStorSystem()
     stack = sys_.stack("/labfs").fs(variant="all").device("nvme").mount()
 
-The old ``fs_stack_spec``/``kvs_stack_spec`` methods still work but emit
-a :class:`DeprecationWarning`; ``mount_fs_stack``/``mount_kvs_stack``
-remain supported conveniences (they delegate to the builder).
+``mount_fs_stack``/``mount_kvs_stack`` are conveniences that delegate to
+the builder.
 
 Telemetry: pass ``telemetry=True`` (or a configured
 :class:`repro.obs.Telemetry`) or set ``REPRO_TELEMETRY=1`` to record
@@ -30,7 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .builder import VARIANTS, StackBuilder
 from .core.client import LabStorClient
-from .core.labstack import LabStack, StackSpec
+from .core.labstack import LabStack
 from .core.runtime import LabStorRuntime, RuntimeConfig
 from .devices.profiles import DeviceSpec, make_device
 from .faults.plan import plan_from_env as _plan_from_env
@@ -172,26 +171,6 @@ class LabStorSystem:
         if uuid_prefix:
             b.uuid_prefix(uuid_prefix)
         return b
-
-    def fs_stack_spec(self, mount: str, **kw) -> StackSpec:
-        """Deprecated: use ``system.stack(mount).fs(...)...build()``."""
-        warnings.warn(
-            "LabStorSystem.fs_stack_spec() is deprecated; use "
-            "system.stack(mount).fs(...).device(...).build() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._fs_builder(mount, **kw).build()
-
-    def kvs_stack_spec(self, mount: str, **kw) -> StackSpec:
-        """Deprecated: use ``system.stack(mount).kvs(...)...build()``."""
-        warnings.warn(
-            "LabStorSystem.kvs_stack_spec() is deprecated; use "
-            "system.stack(mount).kvs(...).device(...).build() instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._kvs_builder(mount, **kw).build()
 
     def mount_fs_stack(self, mount: str, **kw) -> LabStack:
         return self._fs_builder(mount, **kw).mount()

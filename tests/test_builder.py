@@ -1,5 +1,5 @@
-"""Tests for the fluent StackBuilder, the deprecated spec wrappers, the
-typed DeviceSpec, and system/client teardown."""
+"""Tests for the fluent StackBuilder, the typed DeviceSpec, and
+system/client teardown."""
 
 import pytest
 
@@ -12,48 +12,10 @@ from repro.system import LabStorSystem
 
 
 # ---------------------------------------------------------------------------
-# deprecated wrappers: byte-identical specs + warnings
+# builder knobs shape the spec
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("variant", ["all", "min", "d"])
-def test_fs_wrapper_and_builder_specs_byte_identical(variant):
+def test_builder_knobs_reach_the_spec():
     sys_ = LabStorSystem()
-    with pytest.warns(DeprecationWarning, match="fs_stack_spec"):
-        old = sys_.fs_stack_spec("fs::/x", variant=variant, uuid_prefix="cmp")
-    new = (
-        sys_.stack("fs::/x")
-        .fs(variant=variant)
-        .device("nvme")
-        .driver("KernelDriverMod")
-        .cache()
-        .sched("NoOpSchedMod")
-        .uuid_prefix("cmp")
-        .build()
-    )
-    assert repr(old) == repr(new)
-
-
-@pytest.mark.parametrize("variant", ["all", "min", "d"])
-def test_kvs_wrapper_and_builder_specs_byte_identical(variant):
-    sys_ = LabStorSystem()
-    with pytest.warns(DeprecationWarning, match="kvs_stack_spec"):
-        old = sys_.kvs_stack_spec("kvs::/x", variant=variant, uuid_prefix="cmp")
-    new = (
-        sys_.stack("kvs::/x")
-        .kvs(variant=variant)
-        .device("nvme")
-        .uuid_prefix("cmp")
-        .build()
-    )
-    assert repr(old) == repr(new)
-
-
-def test_wrapper_kwargs_forwarded():
-    sys_ = LabStorSystem()
-    with pytest.warns(DeprecationWarning):
-        old = sys_.fs_stack_spec(
-            "fs::/k", variant="min", sched="BlkSwitchSchedMod", cache=False,
-            nworkers=4, capacity_bytes=1 << 20, uuid_prefix="kw",
-        )
     new = (
         sys_.stack("fs::/k")
         .fs(variant="min", nworkers=4, capacity_bytes=1 << 20)
@@ -62,7 +24,6 @@ def test_wrapper_kwargs_forwarded():
         .uuid_prefix("kw")
         .build()
     )
-    assert repr(old) == repr(new)
     assert not any(n.uuid.endswith("lru") for n in new.nodes)
     sched = next(n for n in new.nodes if n.uuid.endswith("sched"))
     assert sched.attrs == {"device": "nvme"}
@@ -73,32 +34,6 @@ def test_mount_helpers_do_not_warn(recwarn):
     sys_.mount_fs_stack("fs::/m", variant="min")
     sys_.mount_kvs_stack("kvs::/m", variant="min")
     assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]
-
-
-def test_fs_stack_spec_warning_points_at_caller():
-    """stacklevel=2 must attribute the warning to the calling file (this
-    test), not to system.py — that is what makes the deprecation findable."""
-    import warnings
-
-    sys_ = LabStorSystem()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sys_.fs_stack_spec("fs::/w", variant="min")
-    dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(dep) == 1
-    assert dep[0].filename == __file__
-
-
-def test_kvs_stack_spec_warning_points_at_caller():
-    import warnings
-
-    sys_ = LabStorSystem()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sys_.kvs_stack_spec("kvs::/w", variant="min")
-    dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(dep) == 1
-    assert dep[0].filename == __file__
 
 
 # ---------------------------------------------------------------------------

@@ -166,10 +166,21 @@ class TestClusterBuilder:
         with pytest.raises(LabStorError, match="already in cluster"):
             b.node("n0")
 
-    def test_topology_freezes_after_build(self):
-        cl = cluster().node("n0").build()
-        with pytest.raises(LabStorError, match="frozen"):
-            cl.add_node("n1")
+    def test_builder_holds_declarations_only_until_build(self):
+        from repro.cluster import Cluster, Node
+
+        b = (cluster(seed=3)
+             .node("n0").stack("kvs::/svc").kvs(variant="min").device("nvme")
+             .node("n1").link("n0", "n1"))
+        held = [x for v in vars(b).values()
+                for x in (v if isinstance(v, list)
+                          else v.values() if isinstance(v, dict) else [v])]
+        assert not any(isinstance(x, (Cluster, Node, Environment))
+                       for x in held)
+        # both placements start from the same frozen spec
+        cl = b.build()
+        assert b.build(shards=1).spec == cl.spec
+        assert sorted(cl.nodes) == ["n0", "n1"]
         cl.shutdown()
 
     def test_explicit_links_only_routes_declared_pairs(self):
@@ -202,6 +213,101 @@ class TestClusterBuilder:
         with pytest.raises(LabStorError, match="already registered"):
             cl.register_service("kvs::/x", "n1")
         cl.shutdown()
+
+
+# ----------------------------------------------------------------------
+# one spec, two placements
+# ----------------------------------------------------------------------
+def _world_routes(view):
+    routes = sorted(view.stats()["routes"])
+    view.shutdown()
+    return routes
+
+
+CHAINS = {
+    "default-mesh": lambda b: b.node("a").node("b").node("c"),
+    "explicit-links": lambda b: (b.node("a").node("b").node("c")
+                                 .link("a", "b").link("b", "c")),
+    "one-way-link": lambda b: (b.node("a").node("b").node("c")
+                               .link("a", "b")
+                               .link("b", "c", bidirectional=False)),
+    "connect-all-then-node": lambda b: (b.node("a").node("b").connect_all()
+                                        .node("c")),
+}
+EXPECTED_ROUTES = {
+    "default-mesh": ["a->b", "a->c", "b->a", "b->c", "c->a", "c->b"],
+    "explicit-links": ["a->b", "b->a", "b->c", "c->b"],
+    # a route needs the return link: its response rides it
+    "one-way-link": ["a->b", "b->a"],
+    # connect_all() meshes the nodes declared so far
+    "connect-all-then-node": ["a->b", "b->a"],
+}
+
+
+class TestOneSpecTwoPlacements:
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_same_chain_same_routes(self, chain):
+        cl = CHAINS[chain](cluster(seed=2)).build()
+        shared = sorted(cl.stats()["routes"])
+        cl.shutdown()
+        res = CHAINS[chain](cluster(seed=2)).build(shards=1).run(
+            finish=_world_routes)
+        per_world = sorted(r for rs in res.results.values() for r in rs)
+        assert shared == per_world == EXPECTED_ROUTES[chain]
+
+    def test_one_way_link_still_carries_transfers(self):
+        cl = CHAINS["one-way-link"](cluster()).build()
+        assert cl.fabric.connected("b", "c")
+        assert not cl.fabric.connected("c", "b")
+        cl.shutdown()
+
+    def test_sharded_build_rejects_what_it_cannot_honour(self):
+        for kw in ({"telemetry": True}, {"env": Environment()}):
+            with pytest.raises(LabStorError, match="drop env= / telemetry="):
+                cluster(**kw).node("a").node("b").build(shards=1)
+
+    def test_closed_loop_latencies_identical_across_placements(self):
+        """One client, 32 puts then 32 gets over a 2-node ShardedKVS:
+        every op costs the same virtual time whether the nodes share a
+        clock or each runs in its own world."""
+        from repro.sim.check import reset_global_counters
+
+        def loop(cl, lat):
+            kvs, env = cl.kvs, cl.env
+            for j in range(32):
+                t0 = env.now
+                yield from kvs.put(f"k{j}", bytes([j]) * 128)
+                lat.append(env.now - t0)
+            for j in range(32):
+                t0 = env.now
+                assert (yield from kvs.get(f"k{j}")) == bytes([j]) * 128
+                lat.append(env.now - t0)
+
+        def chain():
+            return cluster(seed=9).node("n0").node("n1")
+
+        reset_global_counters()
+        cl = chain().build()
+        cl.kvs = cl.shard_kvs("kvs::/eq", replicas=1)
+        shared: list[int] = []
+        _run(cl, loop(cl, shared))
+        cl.shutdown()
+
+        def setup(view):
+            view.kvs = view.shard_kvs("kvs::/eq", replicas=1)
+            view.lat = []
+
+        def drivers(view):
+            return [("client", loop(view, view.lat))] if view.node_name == "n0" else []
+
+        def finish(view):
+            view.shutdown()
+            return view.lat
+
+        res = chain().build(shards=1).run(setup=setup, drivers=drivers,
+                                          finish=finish)
+        assert len(shared) == 64 and len(set(shared)) > 1  # local + remote ops
+        assert res.results["n0"] == shared
 
 
 # ----------------------------------------------------------------------
@@ -271,6 +377,76 @@ class TestRouting:
         assert c.remote_calls == 0
         assert all(s["transfers"] == 0 for s in cl.fabric.stats().values())
         cl.shutdown()
+
+
+def _error_samples():
+    import inspect
+
+    from repro import errors
+
+    for name, cls in sorted(inspect.getmembers(errors, inspect.isclass)):
+        if not issubclass(cls, errors.ReproError):
+            continue
+        if cls is errors.PermissionDenied:
+            yield cls("no write bit")
+        elif issubclass(cls, errors.FsError):
+            yield cls("ENOENT", "no such key")
+        elif issubclass(cls, errors.DeviceError):
+            yield cls("bad block", device="nvme")
+        else:
+            yield cls("boom")
+
+
+class TestRemoteErrors:
+    @pytest.mark.parametrize("exc", list(_error_samples()),
+                             ids=lambda e: type(e).__name__)
+    def test_every_repro_error_keeps_its_type_across_the_wire(self, exc):
+        import pickle
+
+        from repro.cluster.routing import pickle_error
+
+        back = pickle.loads(pickle_error(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        for attr in ("errno_name", "device"):
+            assert getattr(back, attr, None) == getattr(exc, attr, None)
+
+    def test_remote_missing_key_raises_fserror_in_both_placements(self):
+        def chain():
+            return (cluster(seed=5)
+                    .node("n0")
+                    .node("n1").stack("kvs::/far").kvs(variant="min")
+                    .device("nvme"))
+
+        def get_missing(cl):
+            from repro.core.requests import LabRequest
+
+            yield from cl.client("n0").call(
+                "kvs::/far", LabRequest(op="kvs.get", payload={"key": "nope"}))
+
+        cl = chain().build()
+        with pytest.raises(FsError, match="ENOENT"):
+            _run(cl, get_missing(cl))
+        cl.shutdown()
+
+        def setup(view):
+            view.out = None
+
+        def drivers(view):
+            def go():
+                try:
+                    yield from get_missing(view)
+                except FsError as exc:
+                    view.out = exc.errno_name
+            return [("get", go())] if view.node_name == "n0" else []
+
+        def finish(view):
+            view.shutdown()
+            return view.out
+
+        res = chain().build(shards=1).run(setup=setup, drivers=drivers,
+                                          finish=finish)
+        assert res.results["n0"] == "ENOENT"
 
 
 # ----------------------------------------------------------------------
@@ -473,12 +649,6 @@ class TestShardedKVS:
             cl.shard_kvs("kvs::/u", replicas=2, quorum=3)
         cl.shutdown()
 
-    def test_sharding_requires_built_cluster(self):
-        b = cluster().node("n0")
-        with pytest.raises(LabStorError, match="build"):
-            b._cluster.shard_kvs("kvs::/t")
-        b.build().shutdown()
-
 
 # ----------------------------------------------------------------------
 # determinism
@@ -527,6 +697,22 @@ class TestClusterDeterminism:
             f"4 nodes {four['kops_s']:.1f} kops/s"
         )
         assert four["remote_calls"] > 0
+
+
+    def test_e14_rows_match_the_committed_artifact(self):
+        """The virtual columns of BENCH_cluster.json are the refactoring
+        oracle for the shared placement: exact, not ">= 2x"."""
+        from pathlib import Path
+
+        from repro.experiments.cluster_scaling import sweep_cluster_scaling
+
+        committed = json.loads(
+            (Path(__file__).parent.parent / "BENCH_cluster.json").read_text()
+        )["rows"]
+        keys = ("nnodes", "replicas", "elapsed_ms", "remote_calls", "fabric_MB")
+        rows = sweep_cluster_scaling(processes=1)
+        assert ([{k: r[k] for k in keys} for r in rows]
+                == [{k: r[k] for k in keys} for r in committed])
 
 
 # ----------------------------------------------------------------------

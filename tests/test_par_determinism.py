@@ -159,7 +159,6 @@ def test_builder_build_default_path_unchanged():
           .node("b")
           .build())
     assert sorted(cl.nodes) == ["a", "b"]
-    assert cl._built
     cl.shutdown()
 
 
@@ -169,6 +168,23 @@ def test_builder_build_shards_rejects_bad_args():
     env = Environment()
     with pytest.raises(LabStorError):
         cluster(seed=0, env=env).node("a").node("b").build(shards=2)
+
+
+def _dying_drivers(view):
+    def go():
+        yield view.env.timeout(int(msec(1)))
+        if view.node_name == "n1":
+            import os
+
+            os._exit(3)  # no exception, no reply: the pipe just closes
+
+    return [("victim", go())]
+
+
+def test_dead_shard_is_a_typed_error_naming_its_nodes():
+    handle = cluster(seed=1).node("n0").node("n1").build(shards=2)
+    with pytest.raises(SimulationError, match=r"\['n1'\] died"):
+        handle.run(drivers=_dying_drivers)
 
 
 def test_merge_digest_order_is_stream_independent():
