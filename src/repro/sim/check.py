@@ -415,6 +415,10 @@ def _main_shards(names: list[str], shards: list[int], seed: int) -> int:
     return 1 if failed else 0
 
 
+_USAGE = ("usage: check [--list] [--strict] [--shards 1,2,4 [--seed N]] "
+          "[scenario ...]")
+
+
 def main(argv: list[str]) -> int:
     if "--list" in argv:
         print("\n".join(SCENARIOS))
@@ -433,6 +437,11 @@ def main(argv: list[str]) -> int:
             return 2
         del argv[i:i + 2]
     if "--seed" in argv:
+        if shards is None:
+            # the serial scenarios are canned at one seed; running seed 0
+            # under a --seed 3 label would be a silent lie
+            print(f"--seed only applies with --shards; {_USAGE}", file=sys.stderr)
+            return 2
         i = argv.index("--seed")
         try:
             seed = int(argv[i + 1])
@@ -442,9 +451,8 @@ def main(argv: list[str]) -> int:
         del argv[i:i + 2]
     bad_flags = [a for a in argv if a.startswith("-") and a != "--strict"]
     if bad_flags:
-        print(f"unknown option(s): {', '.join(bad_flags)}; "
-              f"usage: check [--list] [--strict] [--shards 1,2,4] "
-              f"[--seed N] [scenario ...]", file=sys.stderr)
+        print(f"unknown option(s): {', '.join(bad_flags)}; {_USAGE}",
+              file=sys.stderr)
         return 2
     if shards is not None:
         names = [a for a in argv if not a.startswith("-")]

@@ -9,33 +9,28 @@ Determinism: events scheduled for the same timestamp are executed in
 (priority, insertion-order) order, so a seeded run always produces the
 same trace.
 
-Wall-clock hot path: this module is the floor under every events/sec
-number the repro can produce (see ``python -m repro.sim.profile``), so
-the per-event path is deliberately flat:
+Wall-clock hot path: this module is the floor under every host-time
+number the repro can produce (see ``python3 benchmarks/perf/run.py``),
+so the per-event path is deliberately flat:
 
 - tracer gate flags are mirrored into ``env._audit`` / ``env._obs`` /
   ``env._trace`` (see :class:`~repro.sim.trace.Tracer`), so allocation
   and scheduling test one attribute instead of ``env.tracer.audit``;
-- :class:`Timeout` and :class:`Condition` objects are recycled through
-  per-environment free lists.  An object is returned to its pool only
-  when the engine holds the *sole* remaining reference at the end of its
-  processing step (``sys.getrefcount`` guard), so any event retained by
-  user code, a waiter list, or a condition is never recycled under it.
-  Pooling is disabled while a sanitizer is attached (``env._audit``) so
-  the event-lifecycle audit sees every allocation, and it never changes
-  scheduling: recycled events take fresh insertion ids from the same
-  ``_eid`` counter, leaving virtual-time order — and therefore the
-  determinism digests — untouched;
+- zero-delay events bypass the heap through two FIFO lanes (see
+  :class:`Environment`);
 - ``run()`` inlines the per-event step (one function call per event is
   ~10% of the engine's disabled-path budget).  ``step()`` stays the
   single-event reference implementation with identical semantics.
+
+Every event is built by its class constructor and freed by the
+interpreter; there is no object pooling (DESIGN.md "Simulator
+performance" records why it was removed).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import SimulationError
@@ -45,12 +40,6 @@ from .trace import Tracer
 URGENT = 0
 NORMAL = 1
 LOW = 2
-
-#: free-list cap per event class; beyond this, objects fall to the GC.
-#: Sized above the largest in-flight burst the reference workloads produce
-#: (a fio sweep holds ~an iodepth's worth of window timeouts per client),
-#: so a burst returning all at once is retained instead of dropped.
-POOL_MAX = 1024
 
 __all__ = [
     "Environment",
@@ -247,7 +236,7 @@ class Process(Event):
         # fresh bound method per yield is pure allocator traffic (they
         # compare equal, so interrupt()'s remove() keeps working)
         self._rcb = self._resume
-        env._init_event(self)
+        Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
@@ -281,7 +270,8 @@ class Process(Event):
         if env._audit:
             env.tracer.emit(env._now, "san.resume", process=self, event=event)
         # Drop the subscription ref now: the wait is over, and a stale
-        # _target would keep the processed event out of the free lists.
+        # _target would keep the processed event (and its value) alive
+        # for as long as the process runs without yielding again.
         self._target = None
         env._active_proc = self
         generator = self._generator
@@ -372,24 +362,15 @@ class Condition(Event):
         self._defused = False
         if env._audit:
             env.tracer.emit(env._now, "san.ev_new", event=self)
-        self._arm(list(events), needed)
-
-    def _arm(self, events: list[Event], needed: int) -> None:
-        """Bind to a fresh set of sub-events (shared by init and pool reuse)."""
-        self._events = events
+        self._events = events = list(events)
         self._count = 0
         self._needed = needed if needed >= 0 else len(events)
         if not events:
             self.succeed(ConditionValue([]))
             return
-        env = self.env
         # Subscribe to *every* sub-event, even after the condition has
         # already triggered: _check must keep watching so a late failure
         # on an unwatched sub-event is defused instead of crashing step().
-        # The bound method is deliberately created fresh per arm: each live
-        # subscription then holds a reference chain back to this condition,
-        # which is exactly what keeps the refcount recycler from reclaiming
-        # a condition that a pending loser could still call back into.
         check = self._check
         for ev in events:
             if ev.env is not env:
@@ -422,11 +403,12 @@ class Condition(Event):
         sub-events once the outcome is decided.
 
         The subscription on a pending loser exists only to defuse a late
-        *failure* (see _arm).  A Timeout can never fail — it is born
+        *failure* (see __init__).  A Timeout can never fail — it is born
         triggered-ok — so its callback entry is pure ballast, and worse, it
         forms a cycle (timeout -> _check -> condition -> value -> timeout
-        for an any_of window) that keeps every poll-window timeout out of
-        the free lists until GC.  Failable sub-events keep their entry.
+        for an any_of window) that only the cycle collector could free;
+        cutting it lets refcounting release every poll-window timeout as
+        soon as it is processed.  Failable sub-events keep their entry.
         """
         check = self._check
         for ev in self._events:
@@ -441,6 +423,9 @@ class Condition(Event):
 
 class Environment:
     """The simulation environment: clock, event heap, process bookkeeping."""
+
+    #: always 0 (object pooling is gone); benchmarks/perf/workloads.py reads it
+    pool_reused = 0
 
     def __init__(self, initial_time: int = 0, tracer: Tracer | None = None) -> None:
         self._now = int(initial_time)
@@ -467,22 +452,6 @@ class Environment:
         self._trace = False
         self._audit = False
         self._obs = False
-        # free lists (see module docstring); counters are public so the
-        # stress tests can assert the pool actually cycles
-        self._event_pool: list[Event] = []
-        self._timeout_pool: list[Timeout] = []
-        self._cond_pool: list[Condition] = []
-        self._proc_pool: list[Process] = []
-        self._init_pool: list[Initialize] = []
-        self._pools: dict[type, list] = {
-            Event: self._event_pool,
-            Timeout: self._timeout_pool,
-            Condition: self._cond_pool,
-            Process: self._proc_pool,
-            Initialize: self._init_pool,
-        }
-        self.pool_reused = 0
-        self.pool_returned = 0
         #: shared pub/sub seam for spans and sanitizer audit hooks
         self.tracer = tracer if tracer is not None else Tracer()
         self.tracer._attach_env(self)
@@ -499,104 +468,21 @@ class Environment:
 
     # -- factories ------------------------------------------------------
     def event(self) -> Event:
-        pool = self._event_pool
-        if pool and not self._audit:
-            ev = pool.pop()
-            ev.callbacks = []
-            ev._value = None
-            ev._ok = True
-            ev._triggered = False
-            ev._processed = False
-            ev._defused = False
-            self.pool_reused += 1
-            return ev
         return Event(self)
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
-        pool = self._timeout_pool
-        if pool and not self._audit:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay: {delay}")
-            to = pool.pop()
-            to.callbacks = []
-            to._value = value
-            to._ok = True
-            to._triggered = True
-            to._processed = False
-            to._defused = False
-            to.delay = delay = int(delay)
-            self._eid = eid = self._eid + 1
-            if delay:
-                heappush(self._heap, (self._now + delay, NORMAL, eid, to))
-            else:
-                to._seid = eid
-                self._due.append(to)
-            self.pool_reused += 1
-            return to
         return Timeout(self, delay, value)
 
     def process(
         self, generator: Generator, name: str | None = None, daemon: bool = False
     ) -> Process:
-        pool = self._proc_pool
-        if pool and not self._audit:
-            if not hasattr(generator, "throw"):
-                raise SimulationError(f"{generator!r} is not a generator")
-            proc = pool.pop()
-            proc.callbacks = []
-            proc._value = None
-            proc._ok = True
-            proc._triggered = False
-            proc._processed = False
-            proc._defused = False
-            proc._generator = generator
-            proc._target = None
-            proc.name = name or getattr(generator, "__name__", "process")
-            proc.daemon = daemon
-            self.pool_reused += 1
-            self._init_event(proc)
-            return proc
         return Process(self, generator, name=name, daemon=daemon)
 
-    def _init_event(self, process: Process) -> None:
-        """Schedule the URGENT kick for a new process (pooled when possible)."""
-        pool = self._init_pool
-        if pool and not self._audit:
-            ini = pool.pop()
-            ini.callbacks = [process._rcb]
-            ini._value = None
-            ini._ok = True
-            ini._triggered = True
-            ini._processed = False
-            ini._defused = False
-            self._eid = eid = self._eid + 1
-            ini._seid = eid
-            self._urgent.append(ini)
-            self.pool_reused += 1
-        else:
-            Initialize(self, process)
-
     def all_of(self, events: Iterable[Event]) -> Condition:
-        events = list(events)
-        return self._condition(events, needed=len(events))
+        return Condition(self, events, needed=-1)
 
     def any_of(self, events: Iterable[Event]) -> Condition:
-        return self._condition(list(events), needed=1)
-
-    def _condition(self, events: list[Event], needed: int) -> Condition:
-        pool = self._cond_pool
-        if pool and not self._audit:
-            cond = pool.pop()
-            cond.callbacks = []
-            cond._value = None
-            cond._ok = True
-            cond._triggered = False
-            cond._processed = False
-            cond._defused = False
-            cond._arm(events, needed)
-            self.pool_reused += 1
-            return cond
-        return Condition(self, events, needed)
+        return Condition(self, events, needed=1)
 
     # -- scheduling -----------------------------------------------------
     def _schedule(self, event: Event, delay: int, priority: int = NORMAL) -> None:
@@ -657,31 +543,6 @@ class Environment:
         self._now = when
         return prio, eid, event
 
-    def _recycle(self, event: Event) -> None:
-        """Return a just-processed engine-owned event to its free list.
-
-        Only when the engine holds the sole surviving reference (the
-        caller's local plus the helper frame plus getrefcount's argument;
-        a Process counts one more for its cached ``_rcb`` self-reference):
-        anything retained by user code, a waiter, or a condition keeps its
-        object.  Disabled under audit so the sanitizer sees every
-        allocation.
-        """
-        cls = event.__class__
-        pool = self._pools.get(cls)
-        if pool is None or len(pool) >= POOL_MAX:
-            return
-        if getrefcount(event) != (4 if cls is Process else 3):
-            return
-        event._value = None
-        if cls is Condition:
-            event._events = ()
-        elif cls is Process:
-            event._generator = None
-            event._target = None
-        pool.append(event)
-        self.pool_returned += 1
-
     def step(self) -> None:
         """Process exactly one event."""
         _prio, _eid, event = self._pop_event()
@@ -699,13 +560,12 @@ class Environment:
             # silently dropping the error.
             exc = event._value
             raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
-        if not self._audit:
-            self._recycle(event)
 
     def run(self, until: Any = None, *, until_window: Optional[int] = None) -> Any:
         """Run until ``until`` (a time, an Event, or heap exhaustion).
 
-        Returns the event's value if ``until`` is an Event.
+        Returns the event's value if ``until`` is an Event.  ``until=t``
+        always returns with ``now == t``, whether or not events remain.
 
         ``until_window=W`` is the conservative-parallel entry: process
         every event with time **strictly below** ``W`` (the delay-0 lanes
@@ -749,12 +609,7 @@ class Environment:
         due = self._due
         urgent_pop = urgent.popleft
         due_pop = due.popleft
-        pools = self._pools
-        pools_get = pools.get
-        proc_pool = self._proc_pool
-        pool_max = POOL_MAX
         pop_heap = heappop
-        refcount = getrefcount
         now = self._now
         try:
             while True:
@@ -789,7 +644,6 @@ class Environment:
                         _prio = 1
                 elif heap:
                     if stop_at is not None and heap[0][0] > stop_at:
-                        self._now = stop_at
                         break
                     if win is not None and heap[0][0] >= win:
                         break
@@ -799,8 +653,7 @@ class Environment:
                     self._now = now = when
                 else:
                     break
-                audit = self._audit
-                if audit:
+                if self._audit:
                     self.tracer.emit(self._now, "san.step", kind=type(event).__name__,
                                      name=getattr(event, "name", None),
                                      ok=event._ok, prio=_prio)
@@ -817,32 +670,6 @@ class Environment:
                 if not event._ok and not event._defused:
                     exc = event._value
                     raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
-                if not audit:
-                    # inlined _recycle (refcount == 2: just `event` + the
-                    # getrefcount argument — no helper frame here).  The
-                    # refcount test runs first: it is one C call and rejects
-                    # most non-recyclable events before any dict traffic.
-                    # A Process carries its cached `_rcb` bound method, a
-                    # deliberate self-cycle, so its sole-reference count is
-                    # one higher.
-                    rc = refcount(event)
-                    if rc == 2:
-                        cls = event.__class__
-                        pool = pools_get(cls)
-                        if pool is not None and len(pool) < pool_max:
-                            event._value = None
-                            if cls is Condition:
-                                event._events = ()
-                            pool.append(event)
-                            self.pool_returned += 1
-                    elif rc == 3 and event.__class__ is Process:
-                        pool = proc_pool
-                        if len(pool) < pool_max:
-                            event._value = None
-                            event._generator = None
-                            event._target = None
-                            pool.append(event)
-                            self.pool_returned += 1
         except StopSimulation:
             assert stop_event is not None
             if not stop_event._ok:
@@ -851,6 +678,10 @@ class Environment:
                 # chain the failure already carries (retry giveups etc.)
                 raise stop_event._value from stop_event._value.__cause__
             return stop_event._value
+        if stop_at is not None:
+            # every event at or before the bound has run; the clock ends
+            # on the bound whether later events are pending or none are
+            self._now = stop_at
         if stop_event is not None and not stop_event._triggered:
             raise SimulationError("run() ran out of events before the awaited event fired")
         if stop_event is not None:

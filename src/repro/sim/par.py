@@ -236,10 +236,7 @@ class ParWorld:
                 f"node {self.node_name!r}: build ended at {env.now} ns, past "
                 f"the program epoch {epoch_ns} — raise epoch_ns")
         if env.now < epoch_ns:
-            if env._heap or env._urgent or env._due:
-                env.run(until=epoch_ns)
-            if env._now < epoch_ns:  # empty env: run() can't advance it
-                env._now = epoch_ns
+            env.run(until=epoch_ns)
 
     def start_drivers(self) -> None:
         self.scope.activate()
@@ -650,10 +647,30 @@ def run_program(program, *, shards: int = 1, trace: bool = False,
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
+def format_par_stats(shard_stats: list[dict[str, Any]], wall_s: float) -> str:
+    """Render a sharded run's wall-clock + per-shard events/sec table.
+
+    ``shard_stats`` is :attr:`ParResult.shard_stats`: ``busy_s`` is the
+    time a shard spent inside windows (its barrier wait excluded), so
+    ``events/busy_s`` is that shard's engine rate and the gap between
+    ``sum(busy_s)`` and ``shards * wall_s`` is the synchronization cost
+    the lookahead didn't amortize.
+    """
+    lines = []
+    total_events = sum(s["events"] for s in shard_stats)
+    lines.append(
+        f"  total  {total_events:>10} events in {wall_s:.3f}s wall "
+        f"= {total_events / wall_s if wall_s > 0 else 0.0:>12,.0f} events/s")
+    for s in shard_stats:
+        lines.append(
+            f"  shard{s['shard']:<2} {s['events']:>9} events busy {s['busy_s']:.3f}s "
+            f"= {s['events_per_sec']:>12,.0f} events/s  "
+            f"nodes={','.join(s['nodes'])}")
+    return "\n".join(lines)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     import argparse
-
-    from .profile import format_par_stats
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.sim.par",

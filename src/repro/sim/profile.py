@@ -1,137 +1,19 @@
-"""Wall-clock profiling harness for the simulation engine.
+"""Host-speed calibration for the benchmark's environment block.
 
-Every figure this repro can reproduce is bounded by how many simulated
-events per wall-clock second the DES kernel executes, so the engine's
-real (host) hot path is a first-class optimization target — the same way
-LabStor treats the I/O path.  This harness makes that path measurable:
-
-``python -m repro.sim.profile`` runs reference workloads and reports
-
-- **events/sec** — scheduler events executed per wall-clock second
-  (``env._eid`` is the monotone count of every event that entered the
-  heap, so it is identical across code versions that preserve
-  virtual-time behavior — exactly the invariant the determinism digests
-  pin — making events/sec a pure measure of engine speed);
-- **heap depth** — max/mean of ``len(env._heap)`` sampled from a
-  background thread (no virtual-time perturbation);
-- **per-subsystem wall time** — a cProfile run aggregated by source
-  subsystem: engine (sim core + resources) vs. tracer/obs vs. IPC vs.
-  runtime/workers vs. LabMods vs. devices vs. kernel vs. workload.
-
-The ``fio`` workload is the *reference macro-benchmark*: multi-job
-random block I/O at iodepth 4 through an asynchronously executed
-NoOp+KernelDriver stack — queue-pair traffic, worker scan loops and the
-NVMe device model all on the path, the mix that dominates the paper's
-Fig 6/7 sweeps.
-
-CI gates on this harness: ``--baseline benchmarks/perf_baseline.json
---min-speedup N`` fails the run if events/sec regresses below N times
-the recorded seed baseline (see DESIGN.md "Simulator performance").
-Speedups are *host-normalized*: both the baseline and every gated run
-record a :func:`calibrate` score (a fixed pure-Python kernel with the
-engine's bytecode mix), and the gate compares events-per-calibration-op
-rather than raw events/sec — a loaded CI runner or a slower laptop
-slows the workload and the calibration kernel together, so the ratio
-survives host-speed swings that would make a raw gate flaky.
+``python3 benchmarks/perf/run.py`` is the repo's one perf harness; it
+records :func:`calibrate` before and after each workload so a reader can
+tell a slow host from slow code.
 """
 
 from __future__ import annotations
 
-import argparse
-import cProfile
-import json
-import platform
-import sys
-import threading
 import time
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable
 
-__all__ = ["WORKLOADS", "calibrate", "run_workload", "format_par_stats", "main"]
-
-#: name -> builder(nops) returning (env, run_callable)
-WORKLOADS: dict[str, Callable] = {}
+__all__ = ["calibrate"]
 
 
-def workload(name: str):
-    def deco(fn):
-        WORKLOADS[name] = fn
-        return fn
-
-    return deco
-
-
-@workload("fio")
-def _wl_fio(nops: int):
-    """Reference macro-benchmark: 4 fio jobs (randwrite/randread mix,
-    4KiB, iodepth 4) through an async NoOp+KernelDriver LabStack."""
-    from ..core.labstack import StackSpec
-    from ..core.runtime import RuntimeConfig
-    from ..system import LabStorSystem
-    from ..workloads.fio import FioJob, LabStackEngine, run_fio
-
-    sys_ = LabStorSystem(devices=("nvme",), config=RuntimeConfig(nworkers=2))
-    spec = StackSpec.linear(
-        "blk::/prof",
-        [("NoOpSchedMod", "prof.noop"), ("KernelDriverMod", "prof.drv")],
-    )
-    spec.nodes[0].attrs = {"nqueues": 8}
-    spec.nodes[1].attrs = {"device": "nvme"}
-    stack = sys_.runtime.mount_stack(spec)
-    engine = LabStackEngine(sys_.client(), stack, sys_.devices["nvme"])
-    jobs = [
-        FioJob(rw="randwrite" if i % 2 else "randread", bs=4096,
-               nops=nops, iodepth=4, core=i)
-        for i in range(4)
-    ]
-    return sys_.env, lambda: run_fio(sys_.env, engine, jobs, seed=7)
-
-
-@workload("fs")
-def _wl_fs(nops: int):
-    """GenericFS open/write/read/fsync churn on the Lab-All stack."""
-    from ..mods.generic_fs import GenericFS
-    from ..system import LabStorSystem
-
-    sys_ = LabStorSystem(devices=("nvme",))
-    sys_.mount_fs_stack("fs::/prof", variant="all")
-    gfs = GenericFS(sys_.client())
-    payload = b"profile me " * 372  # ~4KiB
-
-    def go():
-        for i in range(nops):
-            path = f"fs::/prof/f{i % 32}"
-            fd = yield from gfs.open(path, create=True)
-            yield from gfs.write(fd, payload, offset=0)
-            yield from gfs.read(fd, len(payload), offset=0)
-            yield from gfs.close(fd)
-
-    return sys_.env, lambda: sys_.run(sys_.process(go()))
-
-
-@workload("kvs")
-def _wl_kvs(nops: int):
-    """GenericKVS put/get churn through the Runtime's workers."""
-    from ..mods.generic_kvs import GenericKVS
-    from ..system import LabStorSystem
-
-    sys_ = LabStorSystem(devices=("nvme",))
-    sys_.mount_kvs_stack("kvs::/prof", variant="all")
-    kvs = GenericKVS(sys_.client(), "kvs::/prof")
-
-    def go():
-        for i in range(nops):
-            yield from kvs.put(f"key{i % 64}", bytes([i % 251]) * 256)
-            if i % 4 == 3:
-                yield from kvs.get(f"key{(i - 2) % 64}")
-
-    return sys_.env, lambda: sys_.run(sys_.process(go()))
-
-
-# ----------------------------------------------------------------------
-# host-speed calibration
-# ----------------------------------------------------------------------
 def _calibration_kernel(n: int) -> int:
     # the engine hot path in miniature: method calls, attribute traffic,
     # deque FIFO churn, heap pushes/pops and generator sends
@@ -155,292 +37,17 @@ def _calibration_kernel(n: int) -> int:
     return acc
 
 
-def calibrate(repeat: int = 3, n: int = 120_000) -> float:
-    """Host-speed score in calibration-ops/sec (best of ``repeat`` runs).
+def calibrate() -> float:
+    """Host-speed score in calibration-ops/sec (best of three runs).
 
     The kernel's bytecode mix mirrors the engine hot path, so host-speed
     changes (CPU model, turbo state, noisy neighbors on a CI runner) move
-    this score and the engine's events/sec together.  Gating on
-    ``events_per_sec / cal_score`` therefore measures *code* speed, not
-    host speed.
+    this score and the engine's events/sec together.
     """
+    n = 120_000
     best = float("inf")
-    for _ in range(max(1, repeat)):
+    for _ in range(3):
         t0 = time.perf_counter()
         _calibration_kernel(n)
         best = min(best, time.perf_counter() - t0)
     return n / best
-
-
-# ----------------------------------------------------------------------
-# per-subsystem attribution
-# ----------------------------------------------------------------------
-_GROUPS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("engine", ("/sim/core.py", "/sim/resources.py", "/sim/rng.py")),
-    ("tracer", ("/sim/trace.py", "/sim/sanitizer.py", "/obs/")),
-    ("par", ("/sim/par.py",)),
-    ("ipc", ("/ipc/",)),
-    ("runtime", ("/core/",)),
-    ("cluster", ("/cluster/",)),
-    ("traffic", ("/traffic/",)),
-    ("ctl", ("/ctl/",)),
-    ("snap", ("/snap/",)),
-    ("mods", ("/mods/",)),
-    ("devices", ("/devices/",)),
-    ("kernel", ("/kernel/",)),
-    ("workload", ("/workloads/", "/sim/stats.py", "/experiments/", "/pfs/")),
-)
-
-
-def _classify(filename: str, funcname: str) -> str:
-    norm = filename.replace("\\", "/")
-    for group, needles in _GROUPS:
-        if any(n in norm for n in needles):
-            return group
-    if "heap" in funcname:  # builtin _heapq push/pop: engine time
-        return "engine"
-    return "other"
-
-
-def _subsystem_breakdown(prof: cProfile.Profile) -> dict[str, float]:
-    """Total *own* (tottime) seconds per subsystem, sorted descending."""
-    import pstats
-
-    stats = pstats.Stats(prof)
-    totals: dict[str, float] = {}
-    for (filename, _lineno, funcname), (_cc, _nc, tt, _ct, _callers) in stats.stats.items():
-        group = _classify(filename, funcname)
-        totals[group] = totals.get(group, 0.0) + tt
-    return dict(sorted(totals.items(), key=lambda kv: -kv[1]))
-
-
-# ----------------------------------------------------------------------
-# the measurement loop
-# ----------------------------------------------------------------------
-def run_workload(
-    name: str,
-    nops: int = 300,
-    *,
-    profile: bool = False,
-    sample_heap: bool = True,
-    repeat: int = 1,
-    paired_cal: bool = False,
-) -> dict[str, Any]:
-    """Build and run one reference workload; returns the measurement row.
-
-    ``repeat`` builds and runs the workload N times and reports the
-    fastest run — wall-clock gating must not fail on scheduler noise.
-
-    ``paired_cal`` brackets *every rep* with its own calibration samples
-    and reports the rep with the best ``events_per_cal_op`` (events/sec
-    divided by the larger adjacent calibration score).  On a noisy host,
-    load bursts hit some reps and miss others; pairing each rep with a
-    calibration measured seconds — not minutes — away makes the best
-    rep's ratio converge to the unloaded engine-vs-host ratio, which is
-    the quantity a regression gate can compare across runs and hosts.
-    """
-    if paired_cal:
-        best: dict[str, Any] | None = None
-        for _ in range(max(1, repeat)):
-            # long calibration windows (comparable to one rep) so the
-            # samples share the rep's load state instead of dodging it
-            c0 = calibrate(repeat=1, n=400_000)
-            row = _run_once(name, nops, profile=False, sample_heap=sample_heap)
-            cal = max(c0, calibrate(repeat=1, n=400_000))
-            row["cal_score"] = cal
-            row["events_per_cal_op"] = row["events_per_sec"] / cal
-            if best is None or row["events_per_cal_op"] > best["events_per_cal_op"]:
-                best = row
-        return best
-    best = None
-    for _ in range(max(1, repeat) - 1):
-        row = _run_once(name, nops, profile=False, sample_heap=sample_heap)
-        if best is None or row["wall_s"] < best["wall_s"]:
-            best = row
-    row = _run_once(name, nops, profile=profile, sample_heap=sample_heap)
-    if best is not None and best["wall_s"] < row["wall_s"]:
-        # keep the faster timing but the (only) profiled breakdown
-        if "subsystems_s" in row:
-            best["subsystems_s"] = row["subsystems_s"]
-        row = best
-    return row
-
-
-def _run_once(
-    name: str,
-    nops: int,
-    *,
-    profile: bool,
-    sample_heap: bool,
-) -> dict[str, Any]:
-    if name not in WORKLOADS:
-        raise KeyError(f"unknown workload {name!r}; known: {sorted(WORKLOADS)}")
-    env, run = WORKLOADS[name](nops)
-
-    samples: list[int] = []
-    stop = threading.Event()
-
-    def sampler() -> None:
-        while not stop.is_set():
-            samples.append(len(env._heap))
-            time.sleep(0.002)
-
-    thread = threading.Thread(target=sampler, daemon=True)
-    prof = cProfile.Profile() if profile else None
-    eid0 = env._eid
-    if sample_heap:
-        thread.start()
-    t0 = time.perf_counter()
-    if prof is not None:
-        prof.enable()
-    run()
-    if prof is not None:
-        prof.disable()
-    wall_s = time.perf_counter() - t0
-    if sample_heap:
-        stop.set()
-        thread.join()
-
-    events = env._eid - eid0
-    row: dict[str, Any] = {
-        "workload": name,
-        "nops": nops,
-        "events": events,
-        "wall_s": wall_s,
-        "events_per_sec": events / wall_s if wall_s > 0 else 0.0,
-        "virtual_ns": env.now,
-        "heap_max": max(samples) if samples else len(env._heap),
-        "heap_mean": (sum(samples) / len(samples)) if samples else float(len(env._heap)),
-        "heap_samples": len(samples),
-    }
-    if prof is not None:
-        row["subsystems_s"] = _subsystem_breakdown(prof)
-    return row
-
-
-def format_par_stats(shard_stats: list[dict[str, Any]], wall_s: float) -> str:
-    """Render a sharded run's wall-clock + per-shard events/sec table.
-
-    ``shard_stats`` is :attr:`repro.sim.par.ParResult.shard_stats`:
-    ``busy_s`` is the time a shard spent inside windows (its barrier
-    wait excluded), so ``events/busy_s`` is that shard's engine rate and
-    the gap between ``sum(busy_s)`` and ``shards * wall_s`` is the
-    synchronization cost the lookahead didn't amortize.
-    """
-    lines = []
-    total_events = sum(s["events"] for s in shard_stats)
-    lines.append(
-        f"  total  {total_events:>10} events in {wall_s:.3f}s wall "
-        f"= {total_events / wall_s if wall_s > 0 else 0.0:>12,.0f} events/s")
-    for s in shard_stats:
-        lines.append(
-            f"  shard{s['shard']:<2} {s['events']:>9} events busy {s['busy_s']:.3f}s "
-            f"= {s['events_per_sec']:>12,.0f} events/s  "
-            f"nodes={','.join(s['nodes'])}")
-    return "\n".join(lines)
-
-
-def _format_row(row: dict[str, Any]) -> str:
-    lines = [
-        f"{row['workload']:<6} {row['events']:>9} events in {row['wall_s']:.3f}s "
-        f"= {row['events_per_sec']:>10,.0f} events/s   "
-        f"(heap max {row['heap_max']}, mean {row['heap_mean']:.0f})"
-    ]
-    if "subsystems_s" in row:
-        total = sum(row["subsystems_s"].values()) or 1.0
-        for group, tt in row["subsystems_s"].items():
-            lines.append(f"    {group:<9} {tt:7.3f}s  {100 * tt / total:5.1f}%")
-    if "speedup" in row:
-        lines[0] += f"   [{row['speedup']:.2f}x vs baseline]"
-    return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.sim.profile",
-        description="Profile the DES engine's wall-clock hot path.",
-    )
-    parser.add_argument("workloads", nargs="*", default=None,
-                        help=f"workloads to run (default: all of {sorted(WORKLOADS)})")
-    parser.add_argument("--nops", type=int, default=300,
-                        help="per-job operation count (default 300)")
-    parser.add_argument("--repeat", type=int, default=1,
-                        help="run each workload N times, report the fastest "
-                             "(use >=3 when gating on wall clock)")
-    parser.add_argument("--profile", action="store_true",
-                        help="run under cProfile and report per-subsystem time")
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the measurement rows as JSON")
-    parser.add_argument("--baseline", metavar="PATH",
-                        help="compare events/sec against a recorded baseline JSON")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="with --baseline: exit 1 if any workload's "
-                             "events/sec is below this multiple of the baseline")
-    parser.add_argument("--write-baseline", metavar="PATH",
-                        help="record this run as the new baseline JSON")
-    args = parser.parse_args(argv)
-
-    names = args.workloads or sorted(WORKLOADS)
-    unknown = [n for n in names if n not in WORKLOADS]
-    if unknown:
-        parser.error(f"unknown workload(s): {', '.join(unknown)}")
-
-    baseline = None
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-
-    normalize = baseline is not None or bool(args.write_baseline)
-    rows = []
-    failed = False
-    for name in names:
-        row = run_workload(name, nops=args.nops, profile=args.profile,
-                           repeat=args.repeat, paired_cal=normalize)
-        if baseline is not None:
-            base = baseline.get("workloads", {}).get(name)
-            if base:
-                row["baseline_events_per_sec"] = base["events_per_sec"]
-                base_ratio = base.get("events_per_cal_op")
-                if base_ratio and row.get("events_per_cal_op"):
-                    # host-normalized: cancel host-speed differences
-                    row["speedup"] = row["events_per_cal_op"] / base_ratio
-                else:
-                    row["speedup"] = row["events_per_sec"] / base["events_per_sec"]
-                if args.min_speedup is not None and row["speedup"] < args.min_speedup:
-                    row["gate"] = f"FAIL (< {args.min_speedup}x)"
-                    failed = True
-        rows.append(row)
-        print(_format_row(row))
-
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({"rows": rows}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if args.write_baseline:
-        payload = {
-            "recorded_with": "python -m repro.sim.profile --write-baseline",
-            "nops": args.nops,
-            "host": {
-                "python": platform.python_version(),
-                "machine": platform.machine(),
-            },
-            "workloads": {
-                r["workload"]: {
-                    "events_per_sec": r["events_per_sec"],
-                    "events": r["events"],
-                    "cal_score": r.get("cal_score"),
-                    "events_per_cal_op": r.get("events_per_cal_op"),
-                }
-                for r in rows
-            },
-        }
-        with open(args.write_baseline, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if failed:
-        print("perf gate FAILED", file=sys.stderr)
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))

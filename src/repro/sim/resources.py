@@ -11,11 +11,10 @@
 from __future__ import annotations
 
 from collections import deque
-from sys import getrefcount
 from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
-from .core import Environment, Event, NORMAL, POOL_MAX, URGENT
+from .core import Environment, Event, NORMAL, URGENT
 
 __all__ = ["Resource", "PriorityResource", "Store", "FilterStore", "Container"]
 
@@ -71,12 +70,6 @@ class Resource:
         self._users: set[_Request] = set()
         self._queue: deque[_Request] = deque()
         self._order = 0
-        # request free list: grant/release cycles dominate event allocation
-        # on the engine hot path (one _Request per ExecContext.work call),
-        # and the engine's own recycler can never reclaim them — at
-        # processing time a request is still referenced by the users set
-        # and the waiting frame.  Release() is the natural reclaim point.
-        self._req_pool: list[_Request] = []
         # cumulative integral of `count` over time, for utilization accounting
         self._busy_ns = 0
         self._last_change = env.now
@@ -92,21 +85,6 @@ class Resource:
         return len(self._queue)
 
     def request(self, priority: int = 0) -> _Request:
-        pool = self._req_pool
-        if pool and not self.env._audit:
-            req = pool.pop()
-            req.callbacks = []
-            req._value = None
-            req._ok = True
-            req._triggered = False
-            req._processed = False
-            req._defused = False
-            req.priority = priority
-            self._order = req._order = self._order + 1
-            self._queue.append(req)
-            self.env.pool_reused += 1
-            self._trigger_grants()
-            return req
         return _Request(self, priority)
 
     def release(self, request: _Request) -> None:
@@ -118,20 +96,6 @@ class Resource:
             self._last_change = now
             users.discard(request)
             self._trigger_grants()
-            # Reclaim the request when the releasing frame holds the sole
-            # surviving reference (its local + our parameter + getrefcount's
-            # argument).  `_processed` guards the crash/interrupt path: a
-            # granted-but-unprocessed request may still sit on a scheduling
-            # lane and must not be reused under it.  Disabled under audit so
-            # the sanitizer sees every allocation (mirrors the engine pools).
-            if (
-                request._processed
-                and not self.env._audit
-                and len(self._req_pool) < POOL_MAX
-                and getrefcount(request) == 3
-            ):
-                self._req_pool.append(request)
-                self.env.pool_returned += 1
         else:
             request.cancel()
 

@@ -153,8 +153,8 @@ def _job_proc(env: Environment, engine: BlockEngine, job: FioJob,
         inflight.append(env.process(one(env, gen, env._now, result, bs)))
         if len(inflight) >= iodepth:
             # qd semantics: wait for the oldest outstanding I/O.  Popped
-            # inline so this frame drops its reference before the yield —
-            # a finished process can then go back to the free list.
+            # inline so this frame drops its reference before the yield and
+            # a finished process is freed at once.
             yield inflight.pop(0)
     while inflight:
         yield inflight.pop(0)

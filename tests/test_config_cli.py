@@ -126,6 +126,16 @@ class TestSharedReportCli:
                 mod.main(["--definitely-not-a-flag"])
             assert exc.value.code == 2
 
+    def test_check_rejects_seed_without_shards(self, capsys):
+        """``check kvs --seed 3`` used to run seed 0 without a word: the
+        serial scenarios take no seed, only ``--shards`` mode does."""
+        from repro.sim import check
+
+        assert check.main(["kvs", "--seed", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no scenario ran
+        assert "--seed" in captured.err and "usage: check" in captured.err
+
     def test_row_extractors_are_importable_and_shaped(self):
         from repro.obs.report import CSV_HEADERS as OBS_HEADERS
         from repro.obs.report import breakdown_rows

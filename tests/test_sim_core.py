@@ -201,6 +201,26 @@ def test_run_until_time_stops_clock_exactly():
     assert env.now == 100
 
 
+def test_run_until_time_reaches_bound_when_events_run_out():
+    """run(until=t) ends at t whether the heap drains early, was empty
+    from the start, or still holds a later event."""
+    drained = Environment()
+    drained.timeout(10)
+    drained.run(until=1000)
+    assert drained.now == 1000
+
+    empty = Environment()
+    empty.run(until=1000)
+    assert empty.now == 1000
+
+    pending = Environment()
+    pending.timeout(10)
+    pending.timeout(5000)
+    pending.run(until=1000)
+    assert pending.now == 1000
+    assert pending.peek() == 5000
+
+
 def test_run_until_past_time_rejected():
     env = Environment()
     env.timeout(10)
