@@ -6,29 +6,22 @@ rounds only re-measure the host's Python speed), records the reproduced
 table in ``extra_info``, prints it so a plain
 ``pytest benchmarks/ --benchmark-only -s`` regenerates the paper's
 figures as text, and writes the raw rows to a machine-readable
-``BENCH_<name>.json`` under ``benchmarks/artifacts/`` (override the
-directory with ``BENCH_ARTIFACT_DIR``) for CI to upload and for
-regression tooling to diff across commits.
+``BENCH_<name>.json`` under ``benchmarks/artifacts/`` for CI to upload
+and for regression tooling to diff across commits.
 """
 
 import json
-import os
 import re
 from pathlib import Path
 
 import pytest
 
-ARTIFACT_DIR_ENV = "BENCH_ARTIFACT_DIR"
+ARTIFACT_DIR = Path(__file__).parent / "artifacts"
 
 #: repo root, where a second copy of each artifact is committed so the
 #: bench trajectory (the curve of gated numbers across PRs) has a
 #: baseline — ``benchmarks/artifacts/`` stays the CI-upload directory
 ROOT_DIR = Path(__file__).parent.parent
-
-
-def _artifact_dir() -> Path:
-    configured = os.environ.get(ARTIFACT_DIR_ENV)
-    return Path(configured) if configured else Path(__file__).parent / "artifacts"
 
 
 def write_bench_artifact(name: str, rows, **meta) -> Path:
@@ -40,9 +33,8 @@ def write_bench_artifact(name: str, rows, **meta) -> Path:
     written twice: under the artifact directory (CI upload) and at the
     repo root (committed trajectory baseline).
     """
-    out_dir = _artifact_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"BENCH_{name}.json"
+    ARTIFACT_DIR.mkdir(parents=True, exist_ok=True)
+    path = ARTIFACT_DIR / f"BENCH_{name}.json"
     payload = {"name": name, "rows": rows, **meta}
     text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
     path.write_text(text)
@@ -64,11 +56,10 @@ def pytest_sessionfinish(session, exitstatus):
     earlier ones into the same directory) into one ``BENCH_summary.json``
     index: figure label, row count and artifact path per benchmark, so CI
     consumers read a single file instead of globbing the directory."""
-    out_dir = _artifact_dir()
-    if not out_dir.is_dir():
+    if not ARTIFACT_DIR.is_dir():
         return
     entries = {}
-    for path in sorted(out_dir.glob("BENCH_*.json")):
+    for path in sorted(ARTIFACT_DIR.glob("BENCH_*.json")):
         if path.name == "BENCH_summary.json":
             continue
         try:
@@ -85,7 +76,7 @@ def pytest_sessionfinish(session, exitstatus):
         summary = {"benchmarks": entries, "count": len(entries),
                    "exitstatus": int(exitstatus)}
         text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-        (out_dir / "BENCH_summary.json").write_text(text)
+        (ARTIFACT_DIR / "BENCH_summary.json").write_text(text)
         try:
             (ROOT_DIR / "BENCH_summary.json").write_text(text)
         except OSError:

@@ -21,8 +21,8 @@ cluster while keeping every determinism guarantee intact:
   Environment, and the fluent :func:`cluster` / :class:`ClusterBuilder`
   front door, the public path to multi-node composition;
 - :mod:`~repro.cluster.par` — the same spec under the sharded runner
-  (one node per world): ``build(shards=N)``'s handle and the canned
-  par scenarios.
+  (one node per world): ``build(shards=N)``'s handle and the program
+  base the par scenarios in :mod:`repro.scenarios` subclass.
 
 Quickstart::
 

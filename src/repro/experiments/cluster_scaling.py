@@ -180,7 +180,7 @@ def run_cluster_scaling_par(
     processes.  ``shards=1`` is the serial baseline of the same windowed
     architecture — virtual results are byte-identical at every shard
     count, only wall clock moves."""
-    from ..cluster.par import E14ParProgram
+    from ..scenarios.e14 import E14ParProgram
     from ..sim.par import run_program
 
     program = E14ParProgram(

@@ -97,8 +97,8 @@ def run_live_upgrade_under_load(
     (full digests equal), and the restored continuation is seamless
     (suffix digests equal).
     """
+    from ..scenarios.upgrade_under_load import UpgradeUnderLoadProgram
     from ..snap import restore_run, snapshot_run, straight_run
-    from ..snap.programs import UpgradeUnderLoadProgram
 
     def program():
         kw = {"load": load, "nupgrades": nupgrades, "upgrade_type": upgrade_type}

@@ -48,7 +48,7 @@ import time
 from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
-from .check import CounterScope, _canon, reset_global_counters
+from .check import CounterScope, canon_line, reset_global_counters, scenarios
 from .core import Environment
 from .trace import TraceEvent
 
@@ -136,8 +136,9 @@ class OutPort:
 
 
 class TraceCollector:
-    """Per-world trace sink: canonicalizes each event to the exact line
-    :class:`~repro.sim.check.TraceHasher` would hash, tagged with the
+    """Per-world trace sink: keeps each event as the
+    :func:`~repro.sim.check.canon_line` the serial
+    :class:`~repro.sim.check.TraceHasher` hashes, tagged with the
     emission sequence number.  ``san.*`` events are excluded — the
     sanitizer's audit stream watches one Environment's internals, which
     is not part of the cross-mode digest surface."""
@@ -153,9 +154,7 @@ class TraceCollector:
         if ev.category.startswith("san."):
             return
         self._seq += 1
-        parts = [str(ev.time_ns), ev.category]
-        parts += [f"{k}={_canon(ev.fields[k])}" for k in sorted(ev.fields)]
-        self.events.append((ev.time_ns, self._seq, "|".join(parts)))
+        self.events.append((ev.time_ns, self._seq, canon_line(ev)))
 
 
 class _Deliver:
@@ -676,19 +675,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="python -m repro.sim.par",
         description="Run a par-capable scenario under the sharded runner.",
     )
-    parser.add_argument("scenario", help="par scenario name (cluster, control, e14)")
+    parser.add_argument("scenario", help="a par-capable catalogue name "
+                        "(python -m repro.sim.check --list)")
     parser.add_argument("--shards", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--no-trace", action="store_true",
                         help="skip trace collection/digest (bench mode)")
     args = parser.parse_args(argv)
 
-    from ..cluster.par import PAR_SCENARIOS
-
-    if args.scenario not in PAR_SCENARIOS:
-        parser.error(f"unknown scenario {args.scenario!r}; "
-                     f"known: {sorted(PAR_SCENARIOS)}")
-    program = PAR_SCENARIOS[args.scenario](args.seed)
+    par = scenarios().names_with("par")
+    if args.scenario not in par:
+        parser.error(f"unknown par scenario {args.scenario!r}; "
+                     f"known: {sorted(par)}")
+    program = scenarios().SCENARIOS[args.scenario].par(args.seed)
     res = run_program(program, shards=args.shards, trace=not args.no_trace)
     print(f"{args.scenario}: shards={res.shards} rounds={res.rounds} "
           f"messages={res.messages} events={res.events} "

@@ -8,10 +8,10 @@ Two snapshot flavors, one substrate:
   restores into a **fresh** system and powers warm-started sweeps.
 - :class:`~repro.snap.replay.ReplaySnapshot` — a *mid-flight* capture at
   a virtual timestamp T.  Generators cannot be pickled, so restore
-  replays the deterministic program from t=0 to T with trace hashing
-  suppressed, verifies state digests match the capture, then continues
-  on the exact original timeline (``repro.sim.check`` digests of the
-  suffix are byte-identical to an unbroken run).
+  replays the deterministic program (a :mod:`repro.scenarios`
+  ``Program``) from t=0 to T, verifies state digests match the capture,
+  then continues on the exact original timeline (``repro.sim.check``
+  digests of the suffix are byte-identical to an unbroken run).
 
 :class:`~repro.snap.tree.SnapshotTree` composes replay snapshots into a
 time-travel debugger: snapshot, inject a fault, diff dirtied pages and
@@ -19,22 +19,7 @@ module state, rewind, try a different fault.
 """
 
 from .layers import SnapshotLayer, SnapshotStack
-from .programs import (
-    BatchingProgram,
-    ClusterProgram,
-    FaultsProgram,
-    Program,
-    UpgradeUnderLoadProgram,
-    program_named,
-)
-from .replay import (
-    ReplaySnapshot,
-    RestoredRun,
-    RunOutcome,
-    restore_run,
-    snapshot_run,
-    straight_run,
-)
+from .replay import ReplaySnapshot, restore_run, snapshot_run, straight_run
 from .state import SystemSnapshot, quiesce
 from .tree import SnapshotNode, SnapshotTree
 
@@ -43,15 +28,7 @@ __all__ = [
     "SnapshotStack",
     "SystemSnapshot",
     "quiesce",
-    "Program",
-    "FaultsProgram",
-    "BatchingProgram",
-    "ClusterProgram",
-    "UpgradeUnderLoadProgram",
-    "program_named",
     "ReplaySnapshot",
-    "RestoredRun",
-    "RunOutcome",
     "straight_run",
     "snapshot_run",
     "restore_run",

@@ -3,16 +3,15 @@
 Python generators — the substance of every simulated process — cannot
 be pickled, so a mid-flight snapshot cannot serialize continuations
 directly.  Instead, a :class:`ReplaySnapshot` records the *recipe*: the
-deterministic :class:`~repro.snap.programs.Program` (seed included), the
+deterministic :class:`~repro.scenarios.Program` (seed included), the
 virtual pause timestamp, the ordered history of mutation steps applied
 along the way, and content digests of all durable state at the pause.
 
 ``restore()`` rebuilds the in-flight processes by replaying the program
-from t=0 to the pause point with trace hashing suppressed (the hasher
-arms exactly at T), then verifies the replayed durable state against
-the captured digests — any mismatch raises
-:class:`~repro.errors.ReplayDivergence` instead of silently continuing
-from different state.  The restored run then continues on the original
+from t=0 to the pause point (a suffix hasher arms exactly at T), then
+verifies the replayed durable state against the captured digests — any
+mismatch raises :class:`~repro.errors.ReplayDivergence` instead of
+silently continuing from different state.  The restored run then continues on the original
 timeline: its armed digest must be byte-identical to the suffix digest
 of an unbroken run (see ``tests/test_snap_determinism.py``).
 
@@ -24,45 +23,19 @@ automated determinism check prove the seam invisible.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
-from ..errors import ReplayDivergence, SnapshotError
-from ..sim.check import AuditRun, TraceHasher, reset_global_counters
+from ..errors import ReplayDivergence
+from ..scenarios.runner import LiveRun, RunOutcome, run_audited
 from ..sim.core import Environment
 from .state import SystemSnapshot
 
 __all__ = [
     "ReplaySnapshot",
-    "RestoredRun",
-    "RunOutcome",
-    "drive_program",
     "straight_run",
     "snapshot_run",
     "restore_run",
 ]
-
-
-class RunOutcome:
-    """What one audited program execution produced."""
-
-    __slots__ = ("digest", "suffix_digest", "result", "report", "trace_events", "time_ns")
-
-    def __init__(self, digest, suffix_digest, result, report, trace_events, time_ns):
-        self.digest = digest
-        self.suffix_digest = suffix_digest
-        self.result = result
-        self.report = report
-        self.trace_events = trace_events
-        self.time_ns = time_ns
-
-
-def drive_program(program, audit: AuditRun) -> dict:
-    """The repro.sim.check scenario protocol: build, drive, finish."""
-    env = Environment()
-    audit.attach(env)
-    ctx = program.build(env)
-    value = env.run(until=program.drive(ctx))
-    return program.finish(ctx, value)
 
 
 def straight_run(program, *, strict: bool = True, arm_at_ns: Optional[int] = None) -> RunOutcome:
@@ -72,26 +45,7 @@ def straight_run(program, *, strict: bool = True, arm_at_ns: Optional[int] = Non
     *suffix* from that timestamp on (what a restored run must match),
     without a second execution.
     """
-    reset_global_counters()
-    audit = AuditRun(strict=strict)
-    suffix = None
-    env = Environment()
-    audit.attach(env)
-    if arm_at_ns is not None:
-        suffix = TraceHasher(arm_at_ns=arm_at_ns)
-        env.tracer.add_sink(suffix)
-    ctx = program.build(env)
-    value = env.run(until=program.drive(ctx))
-    result = program.finish(ctx, value)
-    report = audit.finish()
-    return RunOutcome(
-        digest=audit.digest,
-        suffix_digest=suffix.hexdigest() if suffix is not None else None,
-        result=result,
-        report=report,
-        trace_events=audit.hasher.count,
-        time_ns=env.now,
-    )
+    return run_audited(program, strict=strict, arm_at_ns=arm_at_ns).finish()
 
 
 class ReplaySnapshot:
@@ -133,88 +87,27 @@ class ReplaySnapshot:
         return cls(program, time_ns=env.now, state=state, history=history)
 
     # ------------------------------------------------------------------
-    def restore(self, *, strict: bool = True, verify: bool = True) -> "RestoredRun":
+    def restore(self, *, strict: bool = True, verify: bool = True) -> LiveRun:
         """Replay the program to the pause point and hand back a live run.
 
-        The returned :class:`RestoredRun` sits exactly at the snapshot
-        timestamp with all in-flight processes reconstructed; its trace
-        hasher armed at T so the continued run's digest covers only the
-        suffix — comparable byte-for-byte with a straight run's armed
-        digest.
+        The returned :class:`~repro.scenarios.LiveRun` sits exactly at
+        the snapshot timestamp with all in-flight processes
+        reconstructed and its suffix hasher armed at T, so the continued
+        run's ``suffix_digest`` is comparable byte-for-byte with a
+        straight run's armed digest.
         """
-        reset_global_counters()
-        audit = AuditRun(strict=strict, arm_at_ns=self.time_ns)
-        env = Environment()
-        audit.attach(env)
         wall_start = time.perf_counter()
-        ctx = self.program.build(env)
-        main = self.program.drive(ctx)
-        if self.time_ns <= env.now:
-            raise SnapshotError(
-                f"pause point {self.time_ns} not after build end ({env.now})"
-            )
-        for at_ns, mutate in self.history:
-            if at_ns > env.now:
-                env.run(until=at_ns)
-            mutate(ctx)
-        if self.time_ns > env.now:
-            env.run(until=self.time_ns)
-        replay_wall_s = time.perf_counter() - wall_start
-        if main.triggered:
-            raise SnapshotError(
-                f"program finished before the pause point {self.time_ns}"
-            )
+        run = run_audited(self.program, strict=strict, arm_at_ns=self.time_ns)
+        run.pause(self.time_ns, self.history)
+        run.replay_wall_s = time.perf_counter() - wall_start
         if verify:
-            mismatches = self.state.verify_against(self.program.target(ctx))
+            mismatches = self.state.verify_against(self.program.target(run.ctx))
             if mismatches:
                 raise ReplayDivergence(
                     "replayed state diverged from the capture:\n  "
                     + "\n  ".join(mismatches)
                 )
-        return RestoredRun(
-            snapshot=self,
-            audit=audit,
-            env=env,
-            ctx=ctx,
-            main=main,
-            replay_wall_s=replay_wall_s,
-            replayed_events=audit.hasher.skipped,
-        )
-
-
-class RestoredRun:
-    """A live run sitting at the snapshot point, ready to continue."""
-
-    def __init__(self, *, snapshot, audit, env, ctx, main, replay_wall_s, replayed_events):
-        self.snapshot = snapshot
-        self.audit = audit
-        self.env = env
-        self.ctx = ctx
-        self.main = main
-        self.replay_wall_s = replay_wall_s
-        self.replayed_events = replayed_events
-
-    @property
-    def program(self):
-        return self.snapshot.program
-
-    def run_until(self, at_ns: int) -> None:
-        if at_ns > self.env.now:
-            self.env.run(until=at_ns)
-
-    def finish(self) -> RunOutcome:
-        """Continue to program completion; digest covers only the suffix."""
-        value = self.env.run(until=self.main)
-        result = self.program.finish(self.ctx, value)
-        report = self.audit.finish()
-        return RunOutcome(
-            digest=None,
-            suffix_digest=self.audit.digest,
-            result=result,
-            report=report,
-            trace_events=self.audit.hasher.count,
-            time_ns=self.env.now,
-        )
+        return run
 
 
 def snapshot_run(
@@ -225,37 +118,16 @@ def snapshot_run(
     tag: str = "replay",
 ) -> tuple[RunOutcome, ReplaySnapshot]:
     """Run a program to completion, pausing once at ``at_ns`` (default:
-    the program's ``default_pause_ns``) to capture a ReplaySnapshot.
+    the program's own ``pause_point``) to capture a ReplaySnapshot.
 
     The capture is pure bookkeeping between two ``env.run()`` calls — no
     events are injected — so the full digest of this run must equal a
     straight run's digest (the property test pins exactly that).
     """
-    reset_global_counters()
-    audit = AuditRun(strict=strict)
-    env = Environment()
-    audit.attach(env)
-    ctx = program.build(env)
-    main = program.drive(ctx)
-    pause = at_ns if at_ns is not None else program.pause_point(ctx, env)
-    if pause <= env.now:
-        raise SnapshotError(f"pause point {pause} not after build end ({env.now})")
-    env.run(until=pause)
-    if main.triggered:
-        raise SnapshotError(f"program finished before the pause point {pause}")
-    snap = ReplaySnapshot.capture(program, ctx, env, tag=tag)
-    value = env.run(until=main)
-    result = program.finish(ctx, value)
-    report = audit.finish()
-    outcome = RunOutcome(
-        digest=audit.digest,
-        suffix_digest=None,
-        result=result,
-        report=report,
-        trace_events=audit.hasher.count,
-        time_ns=env.now,
-    )
-    return outcome, snap
+    run = run_audited(program, strict=strict)
+    run.pause(at_ns if at_ns is not None else program.pause_point(run.ctx, run.env))
+    snap = ReplaySnapshot.capture(program, run.ctx, run.env, tag=tag)
+    return run.finish(), snap
 
 
 def restore_run(snapshot: ReplaySnapshot, *, strict: bool = True, verify: bool = True) -> RunOutcome:

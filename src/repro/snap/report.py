@@ -9,7 +9,7 @@ verdicts over the :mod:`repro.sim.check` trace hash).
 Usage::
 
     PYTHONPATH=src python -m repro.snap.report
-        [--scenario faults|batching|cluster|upgrade_under_load]
+        [--scenario NAME]      # any catalogue entry with a serial form
         [--at NS] [--seed 0]
         [--json [PATH]] [--csv [PATH]] [--out PATH]
 
@@ -24,8 +24,8 @@ import argparse
 import sys
 from typing import Any, Sequence
 
-from .programs import PROGRAMS, program_named
-from .replay import restore_run, snapshot_run, straight_run
+from ..scenarios import SCENARIOS, names_with
+from .replay import snapshot_run, straight_run
 
 __all__ = ["snapshot_report", "format_snapshot_report", "main"]
 
@@ -35,11 +35,10 @@ CSV_HEADERS = ("deployment", "device", "resident_pages", "dirty_pages",
 
 def snapshot_report(scenario: str, *, seed: int = 0, at_ns: int | None = None) -> dict[str, Any]:
     """Run the three-way comparison and collect every reported number."""
-    outcome, snap = snapshot_run(program_named(scenario, seed=seed), at_ns=at_ns)
-    base = straight_run(program_named(scenario, seed=seed), arm_at_ns=snap.time_ns)
+    program = SCENARIOS[scenario].serial
+    outcome, snap = snapshot_run(program(seed=seed), at_ns=at_ns)
+    base = straight_run(program(seed=seed), arm_at_ns=snap.time_ns)
     restored = snap.restore()
-    replay_wall_s = restored.replay_wall_s
-    replayed_events = restored.replayed_events
     cont = restored.finish()
     summary = snap.state.summary()
     return {
@@ -49,9 +48,9 @@ def snapshot_report(scenario: str, *, seed: int = 0, at_ns: int | None = None) -
         "end_ns": base.time_ns,
         "snapshot": summary,
         "restore": {
-            "replayed_events": replayed_events,
-            "replay_wall_s": replay_wall_s,
-            "suffix_events": cont.trace_events,
+            "replayed_events": restored.replayed_events,
+            "replay_wall_s": restored.replay_wall_s,
+            "suffix_events": cont.trace_events - restored.replayed_events,
         },
         "verdicts": {
             "capture_invisible": outcome.digest == base.digest,
@@ -104,7 +103,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         description="Snapshot size, dirtied pages, restore replay cost and "
                     "determinism verdicts for one program.",
     )
-    parser.add_argument("--scenario", choices=sorted(PROGRAMS), default="batching")
+    parser.add_argument("--scenario", default="batching",
+                        choices=sorted(names_with("serial")))
     parser.add_argument("--at", type=int, default=None, metavar="NS",
                         help="virtual pause timestamp (default: the "
                              "program's own mid-flight pause point)")

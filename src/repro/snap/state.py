@@ -217,7 +217,7 @@ class SystemSnapshot:
             name: gen.bit_generator.state for name, gen in sorted(rngs._streams.items())
         }
         telemetry = getattr(target, "telemetry", None)
-        metrics = telemetry.metrics.dump() if telemetry is not None else None
+        metrics = telemetry.registry.dump() if telemetry is not None else None
         return cls(
             deployments,
             time_ns=target.env.now,
@@ -246,7 +246,7 @@ class SystemSnapshot:
             rngs.stream(name).bit_generator.state = state
         telemetry = getattr(target, "telemetry", None)
         if telemetry is not None and self.metrics is not None:
-            telemetry.metrics.load(self.metrics)
+            telemetry.registry.load(self.metrics)
 
     # ------------------------------------------------------------------
     def state_digests(self) -> dict[str, str]:

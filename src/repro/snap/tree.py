@@ -21,7 +21,8 @@ import itertools
 from typing import Any, Callable, Optional
 
 from ..errors import SnapshotError
-from .replay import ReplaySnapshot, RestoredRun, snapshot_run
+from ..scenarios.runner import LiveRun
+from .replay import ReplaySnapshot, snapshot_run
 
 __all__ = ["SnapshotNode", "SnapshotTree"]
 
@@ -126,7 +127,7 @@ class SnapshotTree:
         return child
 
     # ------------------------------------------------------------------
-    def rewind(self, node: SnapshotNode, *, verify: bool = True) -> RestoredRun:
+    def rewind(self, node: SnapshotNode, *, verify: bool = True) -> LiveRun:
         """A live run sitting exactly at ``node`` (replaying its whole
         mutation history), ready to inspect or continue."""
         return node.snapshot.restore(strict=self.strict, verify=verify)
@@ -148,7 +149,7 @@ class SnapshotTree:
     def summary(self) -> dict:
         nodes = list(self.walk())
         return {
-            "program": self.program.name,
+            "program": type(self.program).__name__,
             "nodes": len(nodes),
             "leaves": sum(1 for n in nodes if not n.children),
             "max_time_ns": max((n.time_ns for n in nodes), default=0),

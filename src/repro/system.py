@@ -24,7 +24,6 @@ per-request spans; see DESIGN.md "Observability".
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .builder import VARIANTS, StackBuilder
@@ -54,7 +53,6 @@ class LabStorSystem:
         devices: Iterable[Union[str, DeviceSpec]] = ("nvme",),
         config: RuntimeConfig | None = None,
         cost: CostModel = DEFAULT_COST,
-        device_overrides: dict[str, dict] | None = None,
         env: Environment | None = None,
         telemetry: Union[Telemetry, bool, None] = None,
         fault_plan: Union["FaultPlan", str, None] = None,
@@ -73,19 +71,9 @@ class LabStorSystem:
             self.telemetry = _maybe_attach_telemetry(self.env)
         self.rngs = RngRegistry(seed)
         self.cost = cost
-        if device_overrides is not None:
-            warnings.warn(
-                "device_overrides is deprecated; pass DeviceSpec entries in "
-                "`devices` instead, e.g. devices=[DeviceSpec('nvme', nqueues=16)]",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        overrides = device_overrides or {}
         self.devices = {}
         for dev in devices:
-            spec = dev if isinstance(dev, DeviceSpec) else DeviceSpec(
-                dev, **overrides.get(dev, {})
-            )
+            spec = dev if isinstance(dev, DeviceSpec) else DeviceSpec(dev)
             self.devices[spec.kind] = spec.build(
                 self.env, rng=self.rngs.stream(f"device.{spec.kind}")
             )

@@ -5,23 +5,18 @@ import pytest
 
 @pytest.fixture
 def determinism_check():
-    """Assert a scenario produces an identical trace hash on every run.
+    """Assert a program produces an identical trace hash on every run.
 
-    The scenario callable receives an :class:`repro.sim.check.AuditRun`;
-    it must build its environment, call ``audit.attach(env)`` before
-    driving any simulation, and run to completion (the protocol of
-    ``repro.sim.check.SCENARIOS``).  Returns the common digest.
+    ``make_program`` is called once per run and must return a fresh
+    :class:`repro.scenarios.Program` (a catalogue entry's ``serial`` is
+    one such factory); each is run start to finish by
+    :func:`repro.scenarios.run_audited`.  Returns the common digest.
     """
-    from repro.sim.check import AuditRun, reset_global_counters
+    from repro.scenarios import run_audited
 
-    def _check(scenario, runs=2, strict=True):
-        digests = []
-        for _ in range(runs):
-            reset_global_counters()
-            audit = AuditRun(strict=strict)
-            scenario(audit)
-            audit.finish()
-            digests.append(audit.digest)
+    def _check(make_program, runs=2, strict=True):
+        digests = [run_audited(make_program(), strict=strict).finish().digest
+                   for _ in range(runs)]
         assert len(set(digests)) == 1, f"non-deterministic trace stream: {digests}"
         return digests[0]
 

@@ -660,17 +660,6 @@ def _rows_digest(rows) -> str:
 
 
 class TestClusterDeterminism:
-    def test_cluster_scenario_registered_and_digest_stable(self):
-        from repro.sim.check import SCENARIOS, run_scenario
-
-        assert "cluster" in SCENARIOS
-        d1, r1 = run_scenario("cluster")
-        d2, r2 = run_scenario("cluster")
-        assert d1 == d2
-        assert not r1["violations"] and not r2["violations"]
-        assert r1["result"]["failovers"] > 0
-        assert r1["result"]["remote_calls"] > 0
-
     def test_e14_digest_identical_across_runs_and_process_counts(self):
         from repro.experiments.cluster_scaling import sweep_cluster_scaling
 

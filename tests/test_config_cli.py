@@ -131,10 +131,95 @@ class TestSharedReportCli:
         serial scenarios take no seed, only ``--shards`` mode does."""
         from repro.sim import check
 
-        assert check.main(["kvs", "--seed", "3"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            check.main(["kvs", "--seed", "3"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""  # no scenario ran
         assert "--seed" in captured.err and "usage: check" in captured.err
+
+    @pytest.mark.parametrize("shards", ["0", "2,0", "-1", "1,,2", "x"])
+    def test_check_rejects_shard_counts_below_one(self, capsys, shards):
+        """``check cluster --shards 0`` used to die with a SimulationError
+        traceback out of ``run_program``; it is a usage error."""
+        from repro.sim import check
+
+        with pytest.raises(SystemExit) as exc:
+            check.main(["cluster", f"--shards={shards}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1  # one line, no traceback
+        assert "--shards" in captured.err and "usage: check" in captured.err
+
+    @staticmethod
+    def _fake_run_program(monkeypatch, digest_of):
+        """Stand in for the sharded runner; records the shard counts."""
+        from types import SimpleNamespace
+
+        calls = []
+
+        def run_program(program, *, shards, trace):
+            calls.append(shards)
+            return SimpleNamespace(digest=digest_of(shards), merged_events=7)
+
+        monkeypatch.setattr("repro.sim.par.run_program", run_program)
+        return calls
+
+    def test_check_labels_divergence_by_the_real_baseline(self, capsys, monkeypatch):
+        """With ``--shards 2,4`` the baseline is shards=2; a diverging
+        run used to be reported as "DIVERGES FROM shards=1"."""
+        from repro.sim import check
+
+        self._fake_run_program(monkeypatch, lambda shards: f"digest-{shards}")
+        assert check.main(["cluster", "--shards", "2,4"]) == 1
+        out = capsys.readouterr().out
+        assert "shards=4: digest-4   <-- DIVERGES FROM shards=2" in out
+        assert "shards=1" not in out
+
+    def test_check_list_prints_the_whole_catalogue(self, capsys):
+        """``--list`` used to omit ``e14`` and ``upgrade_under_load``:
+        they lived in other registries."""
+        from repro.scenarios import SCENARIOS
+        from repro.sim import check
+
+        assert check.main(["--list"]) == 0
+        names = capsys.readouterr().out.splitlines()
+        assert names == list(SCENARIOS)
+        assert {"e14", "upgrade_under_load", "quickstart"} <= set(names)
+
+    def test_check_double_runs_a_par_only_name_at_one_shard(self, capsys, monkeypatch):
+        """``check e14`` used to answer "unknown scenario; try --list"
+        while ``check e14 --shards 1`` ran."""
+        from repro.sim import check
+
+        calls = self._fake_run_program(monkeypatch, lambda shards: "same")
+        assert check.main(["e14"]) == 0
+        assert calls == [1, 1]
+        assert "[ok] e14: 7 merged trace events" in capsys.readouterr().out
+
+    def test_check_rejects_serial_only_names_under_shards(self, capsys):
+        from repro.sim import check
+
+        with pytest.raises(SystemExit) as exc:
+            check.main(["kvs", "--shards", "1,2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "not par-capable: kvs" in err and "'e14'" in err
+
+    def test_snap_report_takes_any_serial_catalogue_entry(self, tmp_path):
+        """``--scenario`` choices come from the one catalogue, so the
+        newly snapshottable programs are reportable (``kvs`` used to be
+        an argparse usage error)."""
+        from repro.snap import report as snap_report
+
+        dest = tmp_path / "snap.json"
+        assert snap_report.main(["--scenario", "kvs", "--json", str(dest)]) == 0
+        data = json.loads(dest.read_text())
+        assert data["scenario"] == "kvs"
+        assert all(data["verdicts"].values())
+        with pytest.raises(SystemExit):  # par-only: no serial form to snapshot
+            snap_report.main(["--scenario", "e14"])
 
     def test_row_extractors_are_importable_and_shaped(self):
         from repro.obs.report import CSV_HEADERS as OBS_HEADERS

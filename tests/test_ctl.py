@@ -244,14 +244,8 @@ class TestNoOpSafety:
 
 
 # ---------------------------------------------------------------------------
-# determinism + E15 oracle regression
+# E15 oracle regression
 # ---------------------------------------------------------------------------
-def test_control_scenario_is_deterministic(determinism_check):
-    from repro.sim.check import SCENARIOS
-
-    determinism_check(SCENARIOS["control"])
-
-
 class TestControlPlane:
     def test_controller_beats_static_and_nears_oracle(self):
         from repro.experiments.control_plane import sweep_control_plane

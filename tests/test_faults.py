@@ -339,7 +339,3 @@ def test_fault_plan_env_var_arms_system(monkeypatch):
     assert sys_.faults.injected["media_error"] == 2
     sys_.shutdown()
 
-def test_chaos_scenario_is_deterministic(determinism_check):
-    from repro.sim.check import SCENARIOS
-
-    determinism_check(SCENARIOS["faults"])

@@ -9,21 +9,26 @@ forks) is the baseline; forked runs must match it byte-for-byte.
 import pytest
 
 from repro.cluster import cluster
-from repro.cluster.par import ClusterParProgram, E14ParProgram, PAR_SCENARIOS
 from repro.errors import LabStorError
+from repro.scenarios import SCENARIOS, names_with
+from repro.scenarios.cluster import ClusterParProgram
+from repro.scenarios.e14 import E14ParProgram
 from repro.sim import Environment
 from repro.sim.core import SimulationError
 from repro.sim.par import merge_digest, run_program
 from repro.units import msec
 
 
-@pytest.mark.parametrize("scenario", ["cluster", "control"])
+PAR = names_with("par")
+
+
+@pytest.mark.parametrize("scenario", PAR)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_merged_digest_shard_invariant(scenario, seed):
     digests = {}
     events = {}
     for shards in (1, 2, 4):
-        res = run_program(PAR_SCENARIOS[scenario](seed), shards=shards,
+        res = run_program(SCENARIOS[scenario].par(seed), shards=shards,
                           trace=True)
         digests[shards] = res.digest
         events[shards] = res.merged_events

@@ -16,7 +16,8 @@ from repro.errors import SanitizerError
 from repro.ipc import QueuePair
 from repro.kernel import Cpu
 from repro.sim import Environment, Sanitizer
-from repro.sim.check import AuditRun, run_scenario
+from repro.scenarios import Program
+from repro.sim.check import AuditRun
 
 
 def echo_executor(req, x):
@@ -212,55 +213,38 @@ def test_worker_batch_pop_accounting_detected():
         env.tracer.emit(env.now, "san.worker", worker=worker, qp=None)
 
 
-def test_batching_scenario_is_deterministic():
-    d1, r1 = run_scenario("batching")
-    d2, r2 = run_scenario("batching")
-    assert d1 == d2
-    assert r1["violations"] == [] and r2["violations"] == []
-    assert r1["result"]["merged_ops"] > 0
-    assert r1["result"]["coalesced_ops"] >= 0
-    assert r1["checks"].get("batch", 0) > 0, "no san.batch records audited"
-
-
 # --- determinism checker -----------------------------------------------
-def test_determinism_check_passes_on_seeded_scenario(determinism_check):
-    def scenario(audit):
-        env = Environment()
-        audit.attach(env)
-        rng = random.Random(42)  # re-seeded inside every run
+class _Jitter(Program):
+    """Sixteen timeouts whose lengths come from ``rng``."""
 
-        def pinger():
+    def __init__(self, rng):
+        super().__init__()
+        self.rng = rng
+
+    def build(self, env):
+        return env
+
+    def drive(self, env):
+        def jitter():
             for _ in range(16):
-                yield env.timeout(rng.randrange(1, 1000))
+                yield env.timeout(self.rng.randrange(1, 10**6))
 
-        env.run(env.process(pinger()))
+        return env.process(jitter())
 
-    determinism_check(scenario)
+    def finish(self, env, value):
+        return {}
+
+
+def test_determinism_check_passes_on_seeded_scenario(determinism_check):
+    # re-seeded inside every run
+    determinism_check(lambda: _Jitter(random.Random(42)))
 
 
 def test_determinism_check_flags_unseeded_randomness(determinism_check):
     rng = random.Random(1234)  # shared across runs: draws keep advancing
 
-    def scenario(audit):
-        env = Environment()
-        audit.attach(env)
-
-        def jitter():
-            for _ in range(8):
-                yield env.timeout(rng.randrange(1, 10**6))
-
-        env.run(env.process(jitter()))
-
     with pytest.raises(AssertionError, match="non-deterministic"):
-        determinism_check(scenario)
-
-
-def test_check_scenario_quickstart_is_deterministic():
-    d1, r1 = run_scenario("quickstart")
-    d2, r2 = run_scenario("quickstart")
-    assert d1 == d2
-    assert r1["violations"] == [] and r2["violations"] == []
-    assert r1["trace_events"] == r2["trace_events"] > 0
+        determinism_check(lambda: _Jitter(rng))
 
 
 def test_audit_run_attach_enables_audit_seam():

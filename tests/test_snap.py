@@ -8,6 +8,8 @@ import pytest
 
 from repro.devices.backing import PAGE_SIZE, BackingStore, digest_page
 from repro.errors import ReplayDivergence, SnapshotError
+from repro.scenarios import Program
+from repro.scenarios.batching import BatchingProgram
 from repro.snap import (
     SnapshotLayer,
     SnapshotStack,
@@ -15,7 +17,6 @@ from repro.snap import (
     SystemSnapshot,
     snapshot_run,
 )
-from repro.snap.programs import BatchingProgram, Program
 from repro.units import msec, usec
 
 CAP = 64 * PAGE_SIZE
@@ -198,6 +199,21 @@ class TestSystemSnapshot:
         assert fresh.run(fresh.process(check())) == bytes([4]) * 600
         fresh.shutdown()
 
+    def test_telemetry_counters_ride_the_snapshot(self):
+        """capture/restore_into used to die with AttributeError on any
+        telemetry-enabled target (they read ``telemetry.metrics``; the
+        attribute is ``registry``)."""
+        from repro.system import LabStorSystem
+
+        sys_ = LabStorSystem(devices=("nvme",), telemetry=True)
+        sys_.telemetry.registry.inc("probe_total", 3)
+        snap = SystemSnapshot.capture(sys_, tag="tel")
+        fresh = LabStorSystem(devices=("nvme",), telemetry=True)
+        snap.restore_into(fresh)
+        assert fresh.telemetry.registry.counter("probe_total") == 3
+        sys_.shutdown()
+        fresh.shutdown()
+
     def test_snapshot_is_picklable_and_sized(self):
         sys_, _kvs, snap = self._run_and_capture()
         blob = pickle.dumps(snap)
@@ -275,7 +291,6 @@ class _AuditFsProgram(Program):
     """Test-local FS workload with NO baked-in faults: power cuts are
     injected per tree branch, then every node is audited after rewind."""
 
-    name = "audit-fs"
     default_pause_ns = int(msec(0.5))
     NFILES = 56
 

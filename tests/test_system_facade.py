@@ -23,12 +23,6 @@ def test_device_spec_overrides_apply():
     assert sys_.devices["nvme"].nqueues == 16
 
 
-def test_device_overrides_dict_deprecated_but_working():
-    with pytest.warns(DeprecationWarning, match="device_overrides"):
-        sys_ = LabStorSystem(devices=("nvme",), device_overrides={"nvme": {"nqueues": 16}})
-    assert sys_.devices["nvme"].nqueues == 16
-
-
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_fs_stack_variants_structure(variant):
     sys_ = LabStorSystem()

@@ -274,9 +274,3 @@ def test_overload_preset_runs_and_reports():
     table = format_slo_report(s)
     assert "frontend" in table and "analytics" in table
     system.shutdown()
-
-
-def test_openloop_scenario_is_deterministic(determinism_check):
-    from repro.sim.check import SCENARIOS
-
-    determinism_check(SCENARIOS["openloop"])
