@@ -1,20 +1,19 @@
 """Shared benchmark plumbing.
 
-Every benchmark runs a full experiment sweep once (pedantic mode — these
-are discrete-event simulations, deterministic given the seed, so repeated
-rounds only re-measure the host's Python speed), records the reproduced
-table in ``extra_info``, prints it so a plain
-``pytest benchmarks/ --benchmark-only -s`` regenerates the paper's
-figures as text, and writes the raw rows to a machine-readable
-``BENCH_<name>.json`` under ``benchmarks/artifacts/`` for CI to upload
-and for regression tooling to diff across commits.
+Every benchmark runs once (pedantic mode — these are discrete-event
+simulations, deterministic given the seed, so repeated rounds only
+re-measure the host's Python speed) and writes its rows to a
+machine-readable ``BENCH_<name>.json`` under ``benchmarks/artifacts/``
+for CI to upload and for regression tooling to diff across commits.
+The figure artifacts hold virtual-time results only, so regenerating
+them leaves ``git diff`` empty; what each run cost *this* host goes to
+``BENCH_summary.json``.
 """
 
 import json
-import re
+import os
+import platform
 from pathlib import Path
-
-import pytest
 
 ARTIFACT_DIR = Path(__file__).parent / "artifacts"
 
@@ -24,15 +23,24 @@ ARTIFACT_DIR = Path(__file__).parent / "artifacts"
 ROOT_DIR = Path(__file__).parent.parent
 
 
-def write_bench_artifact(name: str, rows, **meta) -> Path:
+#: host cost of the figures run this session: artifact name ->
+#: ``Outcome.host()`` (wall_s / points / events)
+HOST_LEDGER: dict[str, dict] = {}
+
+
+def write_bench_artifact(name: str, rows, *, host: dict | None = None, **meta) -> Path:
     """Persist one benchmark's rows as ``BENCH_<name>.json``.
 
     ``rows`` is the experiment sweep's list of dicts; ``meta`` lands
-    alongside it (figure label, knobs).  Non-JSON values degrade to their
-    ``str`` form rather than failing the benchmark.  The artifact is
-    written twice: under the artifact directory (CI upload) and at the
-    repo root (committed trajectory baseline).
+    alongside it (figure label, knobs).  ``host`` (wall-clock cost) is
+    kept out of the artifact and recorded in ``BENCH_summary.json``
+    instead.  Non-JSON values degrade to their ``str`` form rather than
+    failing the benchmark.  The artifact is written twice: under the
+    artifact directory (CI upload) and at the repo root (committed
+    trajectory baseline).
     """
+    if host is not None:
+        HOST_LEDGER[name] = host
     ARTIFACT_DIR.mkdir(parents=True, exist_ok=True)
     path = ARTIFACT_DIR / f"BENCH_{name}.json"
     payload = {"name": name, "rows": rows, **meta}
@@ -45,17 +53,12 @@ def write_bench_artifact(name: str, rows, **meta) -> Path:
     return path
 
 
-def _slug(benchmark, label: str) -> str:
-    name = getattr(benchmark, "name", None) or label
-    name = re.sub(r"^test_bench_", "", name)
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", name).strip("_")
-
-
 def pytest_sessionfinish(session, exitstatus):
     """Aggregate every ``BENCH_<name>.json`` written this session (or by
     earlier ones into the same directory) into one ``BENCH_summary.json``
-    index: figure label, row count and artifact path per benchmark, so CI
-    consumers read a single file instead of globbing the directory."""
+    index: figure label, row count and artifact path per benchmark (plus
+    the host cost of those run in this session), so CI consumers read a
+    single file instead of globbing the directory."""
     if not ARTIFACT_DIR.is_dir():
         return
     entries = {}
@@ -67,38 +70,24 @@ def pytest_sessionfinish(session, exitstatus):
         except (OSError, json.JSONDecodeError):
             continue  # a partial artifact must not fail the whole session
         rows = payload.get("rows")
-        entries[payload.get("name", path.stem)] = {
+        name = payload.get("name", path.stem)
+        entries[name] = {
             "path": path.name,
             "figure": payload.get("figure"),
             "rows": len(rows) if isinstance(rows, (list, dict)) else None,
+            **({"host": HOST_LEDGER[name]} if name in HOST_LEDGER else {}),
         }
     if entries:
+        from repro.sim.profile import calibrate
+
         summary = {"benchmarks": entries, "count": len(entries),
-                   "exitstatus": int(exitstatus)}
+                   "exitstatus": int(exitstatus),
+                   "host": {"python": platform.python_version(),
+                            "cpus": len(os.sched_getaffinity(0)),
+                            "calibrate_ops_per_s": round(calibrate())}}
         text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         (ARTIFACT_DIR / "BENCH_summary.json").write_text(text)
         try:
             (ROOT_DIR / "BENCH_summary.json").write_text(text)
         except OSError:
             pass
-
-
-def run_figure(benchmark, sweep_fn, format_fn, label, artifact: str | None = None):
-    """Run a sweep under pytest-benchmark, print its table, and emit the
-    ``BENCH_<name>.json`` artifact (name defaults to the test's name with
-    the ``test_bench_`` prefix stripped; pass ``artifact=`` to pin it)."""
-    result_holder = {}
-
-    def once():
-        result_holder["rows"] = sweep_fn()
-        return result_holder["rows"]
-
-    benchmark.pedantic(once, rounds=1, iterations=1)
-    rows = result_holder["rows"]
-    table = format_fn(rows)
-    benchmark.extra_info["figure"] = label
-    benchmark.extra_info["table"] = table
-    path = write_bench_artifact(artifact or _slug(benchmark, label), rows, figure=label)
-    benchmark.extra_info["artifact"] = str(path)
-    print("\n" + table)
-    return rows

@@ -28,7 +28,7 @@ host produced each point.
 
 import os
 
-from repro.experiments.cluster_scaling import run_cluster_scaling_par
+from repro.experiments.runner import EXPERIMENTS, run_experiment
 
 from conftest import write_bench_artifact
 
@@ -44,16 +44,13 @@ def _usable_cpus() -> int:
 
 
 def test_bench_par(benchmark):
-    rows = {}
-
-    def once():
-        for shards in (1, SHARDS):
-            rows[shards] = run_cluster_scaling_par(
-                nnodes=4, shards=shards, seed=0)
-        return rows
-
-    benchmark.pedantic(once, rounds=1, iterations=1)
-    serial, par = rows[1], rows[SHARDS]
+    # the 4-node column of the ``cluster-par`` grid, serial then sharded
+    grid = [p for p in EXPERIMENTS["cluster-par"].grid
+            if p["nnodes"] == 4 and p["shards"] in (1, SHARDS)]
+    out = benchmark.pedantic(run_experiment, args=(EXPERIMENTS["cluster-par"],),
+                             kwargs={"grid": grid, "processes": 1},
+                             rounds=1, iterations=1)
+    serial, par = out.rows
 
     # the decomposition must not change the simulation itself
     for key in ("ops", "kops_s", "remote_calls", "fabric_MB", "rounds"):

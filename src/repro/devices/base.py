@@ -169,7 +169,8 @@ class BlockDevice:
         #: service loop on its zero-overhead fast path
         self.faults = None
         for qidx in range(profile.nqueues):
-            env.process(self._dispatch_loop(qidx), name=f"{self.name}.hctx{qidx}")
+            env.process(self._dispatch_loop(qidx), name=f"{self.name}.hctx{qidx}",
+                        daemon=True)
 
     def _make_store(self):
         from .backing import BackingStore

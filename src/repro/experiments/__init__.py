@@ -1,40 +1,35 @@
 """Experiment harnesses — one module per paper table/figure.
 
-=====  ==========================  ===============================
-id     paper artifact              module
-=====  ==========================  ===============================
-E1     Fig 4(a) I/O anatomy        anatomy
-E2     Table I live upgrade        live_upgrade
-E3     Fig 5(a) CPU allocation     orchestration_cpu
-E4     Fig 5(b) partitioning       orchestration_partition
-E5     Fig 6 storage APIs          storage_api
-E6     Fig 7 metadata              metadata
-E7     Fig 8 / Table II sched      schedulers
-E8     Fig 9(a) PFS                pfs_eval
-E9     Fig 9(b) LABIOS             labios_eval
-E10    Fig 9(c) Filebench          filebench_eval
-E11    fault recovery (repro)      fault_recovery
-=====  ==========================  ===============================
+=====  ==========================  =======================  =================
+id     paper artifact              module                   registry name(s)
+=====  ==========================  =======================  =================
+E1     Fig 4(a) I/O anatomy        anatomy                  anatomy, anatomy-read
+E2     Table I live upgrade        live_upgrade             table1
+E3     Fig 5(a) CPU allocation     orchestration_cpu        fig5a
+E4     Fig 5(b) partitioning       orchestration_partition  fig5b
+E5     Fig 6 storage APIs          storage_api              fig6
+E6     Fig 7 metadata              metadata                 fig7
+E7     Fig 8 / Table II sched      schedulers               fig8
+E8     Fig 9(a) PFS                pfs_eval                 fig9a
+E9     Fig 9(b) LABIOS             labios_eval              fig9b
+E10    Fig 9(c) Filebench          filebench_eval           fig9c
+A1-A5  ablations (repro)           ablations                ablation-*
+E11    fault recovery (repro)      fault_recovery           faults
+E12    batched submission (repro)  batching                 batching
+E13    open-loop overload (repro)  openloop                 openloop
+E14    cluster scaling (repro)     cluster_scaling          cluster, cluster-par, pfs-cluster
+E15    control plane (repro)       control_plane            control
+=====  ==========================  =======================  =================
 
-Each module exposes ``run_*`` (one configuration), ``sweep_*`` (the full
-figure), and ``format_*`` (the paper-style table).
+Each module exposes its point function ``run_*(env, params, seed)`` (one
+configuration on the Environment it is handed) and ends by registering
+an :class:`~repro.experiments.registry.Experiment`: grid, seeds, table
+and paper-shape gates as data.  :mod:`repro.experiments.runner` imports
+them all and runs any of them (``python -m repro.experiments <name>``).
+
+Importing this package imports none of them: ``common`` and ``report``
+sit on other packages' import paths.
 """
-
-from . import (
-    ablations,
-    anatomy,
-    fault_recovery,
-    filebench_eval,
-    labios_eval,
-    live_upgrade,
-    metadata,
-    orchestration_cpu,
-    orchestration_partition,
-    pfs_eval,
-    report,
-    schedulers,
-    storage_api,
-)
 
 __all__ = [
     "anatomy",
@@ -49,5 +44,11 @@ __all__ = [
     "filebench_eval",
     "ablations",
     "fault_recovery",
+    "batching",
+    "openloop",
+    "cluster_scaling",
+    "control_plane",
     "report",
+    "registry",
+    "runner",
 ]

@@ -2,113 +2,54 @@
 
 Usage::
 
-    python -m repro.experiments              # every figure (several minutes)
+    python -m repro.experiments              # every figure (minutes)
     python -m repro.experiments anatomy fig6 # selected figures
+    python -m repro.experiments fig6 --json - --processes 1
     python -m repro.experiments --list
 
-Figure names: anatomy, table1, fig5a, fig5b, fig6, fig7, fig8, fig9a,
-fig9b, fig9c, ablations, faults, batching, openloop, cluster,
-cluster-par, pfs-cluster, control.
+Each figure runs the grid its committed ``BENCH_<artifact>.json`` was
+produced from, prints the table, and closes with what the run cost the
+host (wall seconds, points, simulator events).
 """
 
 from __future__ import annotations
 
 import sys
 
-from . import (
-    ablations,
-    anatomy,
-    batching,
-    cluster_scaling,
-    control_plane,
-    fault_recovery,
-    filebench_eval,
-    labios_eval,
-    live_upgrade,
-    metadata,
-    openloop,
-    orchestration_cpu,
-    orchestration_partition,
-    pfs_eval,
-    schedulers,
-    storage_api,
-)
+from ..cli import Report, add_output_flags, emit
+from ..sim.check import UsageParser
+from .runner import EXPERIMENTS, run_experiment
 
 
-def _run_anatomy():
-    for op in ("write", "read"):
-        print(anatomy.format_anatomy(anatomy.run_anatomy(op, nops=64)))
-        print()
-
-
-def _run_ablations():
-    print(ablations.format_ablation(ablations.ablate_allocator(),
-                                    "Ablation — allocator"))
-    print()
-    print(ablations.format_ablation(ablations.ablate_ipc_cost(),
-                                    "Ablation — IPC hop cost"))
-    print()
-    print(ablations.format_ablation(ablations.ablate_exec_mode(),
-                                    "Ablation — exec mode"))
-    print()
-    print(ablations.format_ablation(ablations.ablate_consistency(),
-                                    "Ablation — consistency"))
-    print()
-    print(ablations.format_ablation(ablations.ablate_cache_capacity(),
-                                    "Ablation — LRU capacity"))
-
-
-FIGURES = {
-    "anatomy": _run_anatomy,
-    "table1": lambda: print(live_upgrade.format_live_upgrade(
-        live_upgrade.sweep_live_upgrade(nmessages=4000, upgrade_counts=(0, 8, 16, 32)))),
-    "fig5a": lambda: print(orchestration_cpu.format_orchestration_cpu(
-        orchestration_cpu.sweep_orchestration_cpu(ops_per_client=500))),
-    "fig5b": lambda: print(orchestration_partition.format_partition(
-        orchestration_partition.sweep_partition(creates_per_thread=100, writes_per_thread=5))),
-    "fig6": lambda: print(storage_api.format_storage_api(
-        storage_api.sweep_storage_api(nops=200, hdd_nops=30))),
-    "fig7": lambda: print(metadata.format_metadata(
-        metadata.sweep_metadata(files_per_thread=50))),
-    "fig8": lambda: print(schedulers.format_schedulers(
-        schedulers.sweep_schedulers(l_nops=100, t_nops=100))),
-    "fig9a": lambda: print(pfs_eval.format_pfs(pfs_eval.sweep_pfs())),
-    "fig9b": lambda: print(labios_eval.format_labios(
-        labios_eval.sweep_labios(nlabels=120))),
-    "fig9c": lambda: print(filebench_eval.format_filebench(
-        filebench_eval.sweep_filebench(nthreads=4, loops=4))),
-    "ablations": _run_ablations,
-    "faults": lambda: print(fault_recovery.format_fault_recovery(
-        fault_recovery.sweep_fault_recovery(nwrites=120))),
-    "batching": lambda: print(batching.format_batching(
-        batching.sweep_batching(nops=256))),
-    "openloop": lambda: print(openloop.format_openloop(
-        openloop.sweep_openloop())),
-    "cluster": lambda: print(cluster_scaling.format_cluster_scaling(
-        cluster_scaling.sweep_cluster_scaling())),
-    "cluster-par": lambda: print(cluster_scaling.format_cluster_scaling_par(
-        cluster_scaling.sweep_cluster_scaling_par())),
-    "pfs-cluster": lambda: print(cluster_scaling.format_pfs_cluster(
-        cluster_scaling.sweep_pfs_cluster())),
-    "control": lambda: print(control_plane.format_control_plane(
-        control_plane.sweep_control_plane())),
-}
-
-
-def main(argv: list[str]) -> int:
-    if "--list" in argv:
-        print("\n".join(FIGURES))
+def main(argv: list[str] | None = None) -> int:
+    parser = UsageParser(
+        prog="python -m repro.experiments",
+        usage="python -m repro.experiments [--list] [--processes N] "
+              "[--json [PATH]] [--csv [PATH]] [--out PATH] [name ...]")
+    parser.add_argument("names", nargs="*")
+    parser.add_argument("--list", action="store_true")
+    parser.add_argument("--processes", type=int, default=None,
+                        help="sweep worker processes (1 = serial; default: cpu count)")
+    add_output_flags(parser)
+    args = parser.parse_intermixed_args(argv)
+    if args.list:
+        print("\n".join(EXPERIMENTS))
         return 0
-    names = [a for a in argv if not a.startswith("-")] or list(FIGURES)
-    unknown = [n for n in names if n not in FIGURES]
+    unknown = [n for n in args.names if n not in EXPERIMENTS]
     if unknown:
-        print(f"unknown figure(s): {', '.join(unknown)}; try --list", file=sys.stderr)
-        return 2
-    for name in names:
-        print(f"=== {name} " + "=" * max(0, 60 - len(name)))
-        FIGURES[name]()
-        print()
-    return 0
+        parser.error(f"unknown experiment(s): {', '.join(unknown)}; try --list")
+    sections, data = [], {}
+    for name in args.names or EXPERIMENTS:
+        out = run_experiment(EXPERIMENTS[name], processes=args.processes)
+        host = out.host()
+        data[name] = {**out.result(), "host": host}
+        sections.append(
+            f"=== {name} " + "=" * max(0, 60 - len(name)) + f"\n{out.table()}\n"
+            f"[{host['points']} points, {host['wall_s']:.1f} s wall"
+            + (f", {host['events']} events" if host["events"] else "") + "]\n")
+    if len(data) == 1:  # one figure: ``rows`` at top level, like its artifact
+        data = next(iter(data.values()))
+    return emit(args, Report(text="\n".join(sections), data=data))
 
 
 if __name__ == "__main__":

@@ -11,9 +11,9 @@ Paper shape: device I/O ~66% of a 4KB write; page cache ~17% (copying);
 IPC ~8.4%; NoOp scheduler ~5%; FS metadata ~3%; permissions ~3%;
 driver ~1%.
 
-``run_phase_anatomy`` runs the full Fig 4 matrix — Lab-All, Lab-Min,
-Lab-D, and the ext4 kernel baseline — and is what
-``python -m repro.obs.report`` drives.
+The point takes a ``config``: ``lab-all`` / ``lab-min`` / ``lab-d`` run the
+LabFS stack variant, ``ext4`` the kernel baseline — the Fig 4 matrix
+``python -m repro.obs.report`` drives as a four-point grid.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ from ..devices.profiles import make_device
 from ..kernel import make_filesystem
 from ..mods.generic_fs import GenericFS
 from ..obs import Telemetry, phase_breakdown
-from ..sim import Environment
-from ..sim.sanitizer import maybe_attach
 from ..system import LabStorSystem
-from .report import format_table
+from .registry import Experiment, Table, register
 
-__all__ = ["run_anatomy", "run_kernel_anatomy", "run_phase_anatomy", "format_anatomy"]
+__all__ = ["run_anatomy", "PHASE_CONFIGS"]
+
+#: the Fig 4 matrix: three LabFS variants and the kernel baseline
+PHASE_CONFIGS = ("lab-all", "lab-min", "lab-d", "ext4")
 
 # telemetry category -> paper label
 SPAN_LABELS = {
@@ -42,19 +43,21 @@ SPAN_LABELS = {
 }
 
 
-def run_anatomy(
-    op: str = "write", nops: int = 64, bs: int = 4096, seed: int = 0,
-    variant: str = "all",
-) -> dict:
-    """Anatomy of one LabFS stack variant, measured from request spans.
+def run_anatomy(env, p: dict, seed: int = 0) -> dict:
+    """Anatomy of one configuration, measured from request spans.
 
-    Returns the legacy keys ``fractions`` / ``total_ns_per_op`` /
+    A LabFS variant returns ``fractions`` / ``total_ns_per_op`` /
     ``span_ns`` plus ``breakdown`` (the span-derived phase anatomy of
-    :func:`repro.obs.report.phase_breakdown`) and ``variant``.
+    :func:`repro.obs.report.phase_breakdown`) and ``variant``; the
+    kernel baseline returns ``fs``, ``total_ns_per_op`` and ``breakdown``.
     """
+    op, nops, bs = p["op"], p["nops"], p["bs"]
+    if p["config"] == "ext4":
+        return _kernel_anatomy(env, op, nops, bs)
+    variant = p["config"].split("-", 1)[1]
     telemetry = Telemetry()
     sys_ = LabStorSystem(
-        seed=seed, devices=("nvme",), config=RuntimeConfig(nworkers=1),
+        env=env, seed=seed, devices=("nvme",), config=RuntimeConfig(nworkers=1),
         telemetry=telemetry,
     )
     sys_.stack("fs::/a").fs(variant=variant).device("nvme").uuid_prefix("anat").mount()
@@ -104,21 +107,16 @@ def run_anatomy(
     }
 
 
-def run_kernel_anatomy(
-    op: str = "write", nops: int = 64, bs: int = 4096, seed: int = 0,
-    fs_name: str = "ext4",
-) -> dict:
-    """Span-derived anatomy of a kernel-FS baseline (write+fsync / read).
+def _kernel_anatomy(env, op: str, nops: int, bs: int) -> dict:
+    """Span-derived anatomy of the ext4 baseline (write+fsync / read).
 
     Writes are paired with fsync so the measured window includes the
     device I/O a buffered write defers; reads drop the page cache each
     iteration so every read exercises the block path.
     """
-    env = Environment()
-    maybe_attach(env)
     telemetry = Telemetry().install(env)
     dev = make_device(env, "nvme")
-    fs = make_filesystem(fs_name, env, dev)
+    fs = make_filesystem("ext4", env, dev)
 
     def setup():
         fd = yield env.process(fs.open("/anat", create=True))
@@ -144,32 +142,55 @@ def run_kernel_anatomy(
     elapsed = env.now - start
     return {
         "op": op,
-        "fs": fs_name,
+        "fs": "ext4",
         "total_ns_per_op": elapsed / nops,
         "breakdown": phase_breakdown(telemetry.spans),
     }
 
 
-def run_phase_anatomy(
-    op: str = "write", nops: int = 32, bs: int = 4096, seed: int = 0,
-) -> dict[str, dict]:
-    """The Fig 4 matrix: phase breakdowns for Lab-All, Lab-Min, Lab-D,
-    and the ext4 kernel baseline, all from live spans."""
-    results = {}
-    for variant in ("all", "min", "d"):
-        results[f"lab-{variant}"] = run_anatomy(
-            op, nops=nops, bs=bs, seed=seed, variant=variant
-        )
-    results["ext4"] = run_kernel_anatomy(op, nops=nops, bs=bs, seed=seed)
-    return results
+def _components(rows: list[dict]) -> list[dict]:
+    """One display row per stack component, largest slice first."""
+    r = rows[0]
+    return [{"op": r["op"], "total": r["total_ns_per_op"], "component": label,
+             "pct": frac * 100, "ns": r["span_ns"].get(label, 0)}
+            for label, frac in sorted(r["fractions"].items(), key=lambda kv: -kv[1])]
 
 
-def format_anatomy(result: dict) -> str:
-    rows = sorted(result["fractions"].items(), key=lambda kv: -kv[1])
-    return format_table(
-        ["Component", "Fraction", "ns/op"],
-        [[label, f"{frac * 100:.1f}%", f"{result['span_ns'].get(label, 0):.0f}"]
-         for label, frac in rows],
-        title=f"Fig 4(a) I/O anatomy — 4KB {result['op']} "
-              f"(total {result['total_ns_per_op']:.0f} ns/op)",
-    )
+_TABLE = Table(
+    title="Fig 4(a) I/O anatomy — 4KB {op} (total {total:.0f} ns/op)",
+    columns=(("Component", "{component}"), ("Fraction", "{pct:.1f}%"),
+             ("ns/op", "{ns:.0f}")),
+    derive=_components,
+)
+
+
+def _write_gates(result: dict) -> None:
+    f = result["rows"]["fractions"]
+    assert f["Device I/O"] > 0.45            # paper: ~66%
+    assert 0.08 < f["Page cache (LRU)"] < 0.25  # paper: ~17%
+    assert 0.03 < f["IPC (shm queues)"] < 0.15  # paper: ~8.4%
+
+
+def _read_gates(result: dict) -> None:
+    # "results are similar for reads"
+    assert result["rows"]["fractions"]["Device I/O"] > 0.40
+
+
+def _single(rows: list[dict]) -> dict:
+    """The artifact is the one point's row itself."""
+    return {"rows": rows[0]}
+
+
+register(Experiment(
+    name="anatomy", figure="Fig 4(a) write", artifact="anatomy_write",
+    point=run_anatomy,
+    grid=({"op": "write", "nops": 128, "bs": 4096, "config": "lab-all"},),
+    seeds="base", table=_TABLE, gates=_write_gates, summarize=_single,
+    smoke={"op": "write", "nops": 8, "bs": 4096, "config": "lab-all"},
+))
+register(Experiment(
+    name="anatomy-read", figure="Fig 4(a) read", artifact="anatomy_read",
+    point=run_anatomy,
+    grid=({"op": "read", "nops": 128, "bs": 4096, "config": "lab-all"},),
+    seeds="base", table=_TABLE, gates=_read_gates, summarize=_single,
+))

@@ -21,9 +21,9 @@ from ..devices.profiles import DeviceSpec
 from ..mods.generic_fs import GenericFS
 from ..obs.telemetry import Telemetry
 from ..system import LabStorSystem
-from .report import format_table
+from .registry import Experiment, Table, register
 
-__all__ = ["run_batching", "sweep_batching", "format_batching", "BATCH_SIZES"]
+__all__ = ["run_batching", "BATCH_SIZES"]
 
 BATCH_SIZES = (1, 2, 4, 8, 16)
 
@@ -35,20 +35,21 @@ def _percentile(sorted_vals: list[int], q: float) -> int:
     return sorted_vals[i]
 
 
-def run_batching(batch: int, *, nops: int = 256, bs: int = 4096, seed: int = 0) -> dict:
-    """One point on the amortization curve: ``nops`` sequential ``bs``-byte
+def run_batching(env, p: dict, seed: int = 0) -> dict:
+    """One point on the amortization curve: ``nops`` sequential 4KB
     writes through Lab-All/NVMe at batch width ``batch`` (1 = the plain
     per-op path: no vectored submission, no merging, no coalescing)."""
+    batch, nops, bs = p["batch"], p["nops"], 4096
     telemetry = Telemetry()
     if batch == 1:
         system = LabStorSystem(
-            seed=seed, devices=("nvme",),
+            env=env, seed=seed, devices=("nvme",),
             config=RuntimeConfig(nworkers=1), telemetry=telemetry,
         )
         system.stack("fs::/e12").fs(variant="all").mount()
     else:
         system = LabStorSystem(
-            seed=seed,
+            env=env, seed=seed,
             devices=(DeviceSpec("nvme", coalesce_max=batch, coalesce_window_ns=2000),),
             config=RuntimeConfig(nworkers=1, worker_batch_max=batch),
             telemetry=telemetry,
@@ -86,17 +87,34 @@ def run_batching(batch: int, *, nops: int = 256, bs: int = 4096, seed: int = 0) 
     }
 
 
-def sweep_batching(batches=BATCH_SIZES, *, nops: int = 256, bs: int = 4096,
-                   seed: int = 0) -> list[dict]:
-    return [run_batching(b, nops=nops, bs=bs, seed=seed) for b in batches]
-
-
-def format_batching(rows: list[dict]) -> str:
-    base = rows[0]["ops_s"] if rows else 1.0
-    return format_table(
-        ["batch", "ops/s", "speedup", "p50 us", "p99 us"],
-        [[str(r["batch"]), f"{r['ops_s']:.0f}", f"{r['ops_s'] / base:.2f}x",
-          f"{r['p50_ns'] / 1000:.1f}", f"{r['p99_ns'] / 1000:.1f}"]
-         for r in rows],
-        title="E12 — batched submission, 4KB sequential writes (NVMe, Lab-All)",
+def _gates(result: dict) -> None:
+    by = {r["batch"]: r for r in result["rows"]}
+    # acceptance floor: >=30% more ops/s at batch=16 than unbatched
+    assert by[16]["ops_s"] >= 1.3 * by[1]["ops_s"], (
+        f"batch=16 only reached {by[16]['ops_s'] / by[1]['ops_s']:.2f}x"
     )
+    # the curve is monotone non-decreasing: more batching never hurts here
+    batches = sorted(by)
+    for a, b in zip(batches, batches[1:]):
+        assert by[b]["ops_s"] >= by[a]["ops_s"], f"throughput dip at batch={b}"
+    # per-op latency is the price: a batch settles together
+    assert by[16]["p99_ns"] > by[1]["p99_ns"]
+
+
+register(Experiment(
+    name="batching", figure="E12 — batching amortization", artifact="batching",
+    point=run_batching,
+    grid=tuple({"batch": b, "nops": 256} for b in BATCH_SIZES),
+    seeds="base",
+    table=Table(
+        title="E12 — batched submission, 4KB sequential writes (NVMe, Lab-All)",
+        columns=(("batch", "{batch}"), ("ops/s", "{ops_s:.0f}"),
+                 ("speedup", "{speedup:.2f}x"), ("p50 us", "{p50_us:.1f}"),
+                 ("p99 us", "{p99_us:.1f}")),
+        derive=lambda rows: [
+            {**r, "speedup": r["ops_s"] / rows[0]["ops_s"],
+             "p50_us": r["p50_ns"] / 1000, "p99_us": r["p99_ns"] / 1000}
+            for r in rows],
+    ),
+    gates=_gates,
+))

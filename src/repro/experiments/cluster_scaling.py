@@ -14,10 +14,12 @@ data server's ext4 rides its own node's device, and every PFS message
 pays the shared fabric through :class:`~repro.cluster.FabricTransport`
 instead of the standalone latency+bandwidth formula.
 
-Everything here is deterministic: results depend only on (point, seed),
-and :func:`sweep_cluster_scaling` fans points through
-:func:`~repro.experiments.sweep.run_sweep`, so process counts cannot
-change the digest.
+Everything here is deterministic: results depend only on (point, seed)
+— the runner rewinds the identity counters before every point — so
+sweep process counts cannot change the digest.
+
+``cluster-par`` is a wall-clock measurement: run it with
+``--processes 1`` so each cell's forked shards get the whole machine.
 """
 
 from __future__ import annotations
@@ -26,36 +28,17 @@ from ..core.runtime import RuntimeConfig
 from ..kernel import make_filesystem
 from ..mods.generic_fs import GenericFS
 from ..pfs import OrangeFs
-from ..sim.check import reset_global_counters
 from ..units import to_sec
 from ..workloads.fsapi import GenericFsAdapter, KernelFsAdapter
 from ..workloads.vpic import VpicConfig, run_bdcats, run_vpic
-from .report import format_table
-from .sweep import run_sweep
+from .registry import Experiment, Table, register
 
-__all__ = [
-    "run_cluster_scaling",
-    "sweep_cluster_scaling",
-    "format_cluster_scaling",
-    "run_cluster_scaling_par",
-    "sweep_cluster_scaling_par",
-    "format_cluster_scaling_par",
-    "run_pfs_cluster",
-    "sweep_pfs_cluster",
-    "format_pfs_cluster",
-]
+__all__ = ["run_cluster_scaling", "run_cluster_scaling_par", "run_pfs_cluster"]
+
+VALUE_SIZE = 256
 
 
-def run_cluster_scaling(
-    *,
-    nnodes: int = 2,
-    replicas: int = 1,
-    nclients: int = 32,
-    ops_per_client: int = 16,
-    value_size: int = 256,
-    vnodes: int = 64,
-    seed: int = 0,
-) -> dict:
+def run_cluster_scaling(env, p: dict, seed: int = 0) -> dict:
     """One E14 point: ``nclients`` closed loops over an ``nnodes``-node
     sharded KVS with ``replicas``-way replication.
 
@@ -65,12 +48,14 @@ def run_cluster_scaling(
     from ..cluster import cluster as cluster_builder
     from ..cluster.par import kvs_closed_loop
 
-    b = cluster_builder(seed=seed)
+    nnodes, replicas = p["nnodes"], p["replicas"]
+    nclients, ops_per_client = p["nclients"], p["ops_per_client"]
+    b = cluster_builder(seed=seed, env=env)
     cfg = RuntimeConfig(nworkers=1, min_workers=1, max_workers=1)
     for i in range(nnodes):
         b.node(f"n{i}", config=cfg)
     cl = b.build()
-    kvs = cl.shard_kvs("kvs::/bench", replicas=replicas, vnodes=vnodes)
+    kvs = cl.shard_kvs("kvs::/bench", replicas=replicas, vnodes=64)
     # one gateway per node: clients enter the cluster where they live,
     # like real tenants, instead of funneling through a single node
     gateways = [kvs] + [
@@ -79,14 +64,14 @@ def run_cluster_scaling(
     procs = [
         cl.process(
             kvs_closed_loop(gateways[i % nnodes], i, ops_per_client,
-                            value_size),
+                            VALUE_SIZE),
             name=f"bench.loop{i}",
         )
         for i in range(nclients)
     ]
     t0 = cl.env.now
-    for p in procs:
-        cl.run(p)
+    for proc in procs:
+        cl.run(proc)
     elapsed_ns = cl.env.now - t0
     total_ops = nclients * ops_per_client * 2
     fabric_bytes = sum(s["bytes"] for s in cl.fabric.stats().values())
@@ -101,94 +86,74 @@ def run_cluster_scaling(
         "remote_calls": remote_calls,
         "fabric_MB": fabric_bytes / 1e6,
         "fanout_failovers": kvs.failovers,
+        "seed": seed,
     }
 
 
-def _scaling_point(point: dict, seed: int) -> dict:
-    """Module-level sweep fn (crosses the process pool).  Resetting the
-    identity counters first makes the run independent of whatever the
-    worker process simulated before — the digest-stability contract."""
-    reset_global_counters()
-    row = run_cluster_scaling(
-        nnodes=point["nnodes"],
-        replicas=point["replicas"],
-        nclients=point.get("nclients", 32),
-        ops_per_client=point.get("ops_per_client", 16),
-        seed=seed,
+def _scaling_gates(result: dict) -> None:
+    by = {(r["nnodes"], r["replicas"]): r for r in result["rows"]}
+    one, four = by[(1, 1)], by[(4, 1)]
+    # the acceptance bar: fixed offered load, >=2x ops/s at 4 nodes
+    assert four["kops_s"] >= 2.0 * one["kops_s"], (
+        f"cluster failed to scale: {four['kops_s']:.1f} kops/s at 4 nodes "
+        f"vs {one['kops_s']:.1f} at 1"
     )
-    row["seed"] = seed
-    return row
+    # replication is not free: the 2-replica points pay write fan-out
+    assert by[(4, 2)]["kops_s"] < four["kops_s"], (
+        "replicated writes should cost throughput vs replicas=1"
+    )
+    # remote traffic only exists once there is a second node
+    assert one["remote_calls"] == 0 and four["remote_calls"] > 0
 
 
-def sweep_cluster_scaling(
-    *,
-    node_counts=(1, 2, 4),
-    replica_counts=(1, 2),
-    nclients: int = 32,
-    ops_per_client: int = 16,
-    base_seed: int = 0,
-    processes: int | None = None,
-) -> list[dict]:
-    """The E14 grid: node count x replication factor (points needing
-    more nodes than they have are skipped)."""
-    points = [
-        {"nnodes": n, "replicas": r,
-         "nclients": nclients, "ops_per_client": ops_per_client}
-        for n in node_counts
-        for r in replica_counts
-        if r <= n
-    ]
-    return run_sweep(_scaling_point, points, base_seed=base_seed,
-                     processes=processes)
+def _vs_smallest(rows: list[dict]) -> list[dict]:
+    """Speedup over the smallest cluster at the same replication factor."""
+    fewest = min(r["nnodes"] for r in rows)
+    base = {r["replicas"]: r["kops_s"] for r in rows if r["nnodes"] == fewest}
+    return [{**r, "speedup": r["kops_s"] / base.get(r["replicas"], float("nan"))}
+            for r in rows]
 
 
-def format_cluster_scaling(rows: list[dict]) -> str:
-    base = {
-        r["replicas"]: r["kops_s"] for r in rows if r["nnodes"] == min(
-            row["nnodes"] for row in rows
-        )
-    }
-    return format_table(
-        ["nodes", "replicas", "kops/s", "speedup", "elapsed (ms)",
-         "remote calls", "fabric MB"],
-        [[r["nnodes"], r["replicas"], f"{r['kops_s']:.1f}",
-          f"{r['kops_s'] / base[r['replicas']]:.2f}x"
-          if base.get(r["replicas"]) else "-",
-          f"{r['elapsed_ms']:.2f}", r["remote_calls"],
-          f"{r['fabric_MB']:.2f}"] for r in rows],
+# node count x replication factor (points needing more nodes than they
+# have are skipped)
+register(Experiment(
+    name="cluster", figure="E14 — sharded GenericKVS scaling across cluster nodes",
+    artifact="cluster", point=run_cluster_scaling,
+    grid=tuple({"nnodes": n, "replicas": r, "nclients": 32, "ops_per_client": 16}
+               for n in (1, 2, 4) for r in (1, 2) if r <= n),
+    seeds="per-point",
+    table=Table(
         title="E14 — sharded GenericKVS throughput vs. cluster size",
-    )
+        columns=(("nodes", "{nnodes}"), ("replicas", "{replicas}"),
+                 ("kops/s", "{kops_s:.1f}"), ("speedup", "{speedup:.2f}x"),
+                 ("elapsed (ms)", "{elapsed_ms:.2f}"),
+                 ("remote calls", "{remote_calls}"), ("fabric MB", "{fabric_MB:.2f}")),
+        derive=_vs_smallest,
+    ),
+    gates=_scaling_gates,
+))
 
 
 # ----------------------------------------------------------------------
 # E14 under the sharded runner
 # ----------------------------------------------------------------------
-def run_cluster_scaling_par(
-    *,
-    nnodes: int = 4,
-    shards: int = 1,
-    replicas: int = 1,
-    nclients: int = 96,
-    ops_per_client: int = 16,
-    value_size: int = 256,
-    link_lat_ns: int = 100_000,
-    seed: int = 0,
-) -> dict:
+def run_cluster_scaling_par(_env, p: dict, seed: int = 0) -> dict:
     """One E14 point executed by :mod:`repro.sim.par`: the same fixed
     offered load over a cross-rack topology (wide ``link_lat_ns`` buys
     the runner wide lookahead windows), sharded across ``shards`` OS
     processes.  ``shards=1`` is the serial baseline of the same windowed
     architecture — virtual results are byte-identical at every shard
-    count, only wall clock moves."""
+    count, only wall clock moves.  The runner's worlds own their
+    Environments, so the one handed in goes unused."""
     from ..scenarios.e14 import E14ParProgram
     from ..sim.par import run_program
 
     program = E14ParProgram(
-        seed, nnodes=nnodes, replicas=replicas, nclients=nclients,
-        ops_per_client=ops_per_client, value_size=value_size,
-        link_lat_ns=link_lat_ns,
+        seed, nnodes=p["nnodes"], replicas=1, nclients=p["nclients"],
+        ops_per_client=p["ops_per_client"], value_size=VALUE_SIZE,
+        link_lat_ns=100_000,
     )
-    res = run_program(program, shards=shards, trace=False)
+    res = run_program(program, shards=p["shards"], trace=False)
     row = dict(res.reduced)
     row.update(
         shards=res.shards,
@@ -203,73 +168,46 @@ def run_cluster_scaling_par(
     return row
 
 
-def sweep_cluster_scaling_par(
-    *,
-    node_counts=(4, 8),
-    shard_counts=(1, 2, 4),
-    nclients: int = 96,
-    ops_per_client: int = 16,
-    seed: int = 0,
-) -> list[dict]:
-    """E14 at 4-8 nodes under the parallel runner: every (nnodes,
-    shards) cell, run sequentially so each cell's forked shards get the
-    whole machine.  Within a node count the virtual rows must agree —
-    asserted here, the cheap always-on cousin of the digest gate."""
-    rows: list[dict] = []
-    for nnodes in node_counts:
-        base: dict | None = None
-        for shards in shard_counts:
-            if shards > nnodes:
-                continue
-            reset_global_counters()
-            row = run_cluster_scaling_par(
-                nnodes=nnodes, shards=shards, nclients=nclients,
-                ops_per_client=ops_per_client, seed=seed,
-            )
-            if base is None:
-                base = row
-            else:
-                for key in ("ops", "kops_s", "remote_calls", "fabric_MB"):
-                    assert row[key] == base[key], (
-                        f"nnodes={nnodes} shards={shards}: {key} diverged "
-                        f"from the shards={shard_counts[0]} baseline")
-            row["speedup"] = base["wall_s"] / row["wall_s"] if row["wall_s"] else 0.0
-            rows.append(row)
-    return rows
+def _vs_fewest_shards(rows: list[dict]) -> list[dict]:
+    base: dict[int, float] = {}
+    return [{**r, "speedup": base.setdefault(r["nnodes"], r["wall_s"]) / r["wall_s"]}
+            for r in rows]
 
 
-def format_cluster_scaling_par(rows: list[dict]) -> str:
-    return format_table(
-        ["nodes", "shards", "kops/s", "wall (s)", "speedup", "rounds",
-         "msgs", "max cpu (s)"],
-        [[r["nnodes"], r["shards"], f"{r['kops_s']:.1f}",
-          f"{r['wall_s']:.3f}", f"{r.get('speedup', 1.0):.2f}x",
-          r["rounds"], r["messages"], f"{r['max_shard_cpu_s']:.3f}"]
-         for r in rows],
+# E14 at 4-8 nodes under the parallel runner: every (nnodes, shards) cell
+register(Experiment(
+    name="cluster-par", figure="E14/par — sharded-runner wall clock", artifact=None,
+    point=run_cluster_scaling_par,
+    grid=tuple({"nnodes": n, "shards": shards, "nclients": 96, "ops_per_client": 16}
+               for n in (4, 8) for shards in (1, 2, 4)),
+    seeds="base",
+    table=Table(
         title="E14/par — sharded-runner wall clock vs. shard count",
-    )
+        columns=(("nodes", "{nnodes}"), ("shards", "{shards}"),
+                 ("kops/s", "{kops_s:.1f}"), ("wall (s)", "{wall_s:.3f}"),
+                 ("speedup", "{speedup:.2f}x"), ("rounds", "{rounds}"),
+                 ("msgs", "{messages}"), ("max cpu (s)", "{max_shard_cpu_s:.3f}")),
+        derive=_vs_fewest_shards,
+    ),
+    gates=None,  # shard-count invariance is benchmarks/test_bench_par.py's gate
+))
 
 
 # ----------------------------------------------------------------------
 # PFS re-hosted on genuine nodes
 # ----------------------------------------------------------------------
-def run_pfs_cluster(
-    *,
-    ndata: int = 4,
-    data_device: str = "nvme",
-    mds_variant: str = "min",
-    cfg: VpicConfig | None = None,
-    seed: int = 0,
-) -> dict:
+def run_pfs_cluster(env, p: dict, seed: int = 0) -> dict:
     """The Fig 9(a) evaluation with every server on a real cluster node.
 
-    Node ``cn`` hosts the compute client, ``mds`` runs LabFS-<variant>
-    on its own Runtime, and each ``d<i>`` data server's ext4 rides that
-    node's device.  PFS messages pay the shared fabric."""
+    Node ``cn`` hosts the compute client, ``mds`` runs LabFS-Min on its
+    own Runtime, and each ``d<i>`` data server's ext4 rides that node's
+    device.  PFS messages pay the shared fabric."""
     from ..cluster import FabricTransport, cluster as cluster_builder
 
-    cfg = cfg or VpicConfig(nprocs=2, timesteps=2, particles_per_proc=2048)
-    b = cluster_builder(seed=seed)
+    ndata, data_device, mds_variant = p["ndata"], "nvme", "min"
+    cfg = VpicConfig(nprocs=p["nprocs"], timesteps=p["timesteps"],
+                     particles_per_proc=p["particles_per_proc"])
+    b = cluster_builder(seed=seed, env=env)
     b.node("cn")
     b.node("mds", config=RuntimeConfig(nworkers=4, min_workers=4, max_workers=8))
     for i in range(ndata):
@@ -307,55 +245,26 @@ def run_pfs_cluster(
         "metadata_ops": vpic.metadata_ops + bdcats.metadata_ops,
         "fabric_messages": transport.messages,
         "fabric_MB": fabric_bytes / 1e6,
+        "seed": seed,
     }
 
 
-def _pfs_cluster_point(point: dict, seed: int) -> dict:
-    """Module-level sweep fn (crosses the process pool)."""
-    reset_global_counters()
-    row = run_pfs_cluster(
-        ndata=point["ndata"],
-        cfg=VpicConfig(
-            nprocs=point["nprocs"],
-            timesteps=point.get("timesteps", 2),
-            particles_per_proc=point.get("particles_per_proc", 1024),
-        ),
-        seed=seed,
-    )
-    row["seed"] = seed
-    return row
-
-
-def sweep_pfs_cluster(
-    *,
-    proc_counts=(8, 32, 128),
-    ndata: int = 4,
-    timesteps: int = 2,
-    particles_per_proc: int = 1024,
-    base_seed: int = 0,
-    processes: int | None = None,
-) -> list[dict]:
-    """The PFS grid pushed toward the paper's 640-process shape: VPIC
-    rank count scaled on a fixed node-hosted deployment.  Points fan out
-    over the sweep's process pool — the grid, not a single point, is the
-    parallel unit here, because OrangeFs generator frames thread through
-    every node's adapters and cannot split across Environments.  Pass
-    ``proc_counts=(40, 160, 640)`` for the full paper shape."""
-    points = [
-        {"ndata": ndata, "nprocs": n, "timesteps": timesteps,
-         "particles_per_proc": particles_per_proc}
-        for n in proc_counts
-    ]
-    return run_sweep(_pfs_cluster_point, points, base_seed=base_seed,
-                     processes=processes)
-
-
-def format_pfs_cluster(rows: list[dict]) -> str:
-    return format_table(
-        ["procs", "data nodes", "vpic MB/s", "bdcats MB/s", "meta ops",
-         "fabric MB"],
-        [[r["nprocs"], r["ndata"], f"{r['vpic_MBps']:.1f}",
-          f"{r['bdcats_MBps']:.1f}", r["metadata_ops"],
-          f"{r['fabric_MB']:.2f}"] for r in rows],
+# The PFS grid pushed toward the paper's 640-process shape: VPIC rank
+# count scaled on a fixed node-hosted deployment.  The grid, not a single
+# point, is the parallel unit here, because OrangeFs generator frames
+# thread through every node's adapters and cannot split across
+# Environments.  ``nprocs`` of 40/160/640 is the full paper shape.
+register(Experiment(
+    name="pfs-cluster", figure="E8/cluster — node-hosted PFS", artifact=None,
+    point=run_pfs_cluster,
+    grid=tuple({"ndata": 4, "nprocs": n, "timesteps": 2, "particles_per_proc": 1024}
+               for n in (8, 32, 128)),
+    seeds="per-point",
+    table=Table(
         title="E8/cluster — node-hosted PFS vs. VPIC process count",
-    )
+        columns=(("procs", "{nprocs}"), ("data nodes", "{ndata}"),
+                 ("vpic MB/s", "{vpic_MBps:.1f}"), ("bdcats MB/s", "{bdcats_MBps:.1f}"),
+                 ("meta ops", "{metadata_ops}"), ("fabric MB", "{fabric_MB:.2f}")),
+    ),
+    gates=None,
+))

@@ -15,8 +15,7 @@ from ..devices.profiles import make_device
 from ..kernel import make_filesystem
 from ..mods.generic_fs import GenericFS
 from ..mods.generic_kvs import GenericKVS
-from ..sim import Environment
-from ..sim.sanitizer import maybe_attach
+from ..sim import RngRegistry
 from ..system import LabStorSystem
 from ..workloads.fsapi import GenericFsAdapter, KernelFsAdapter
 
@@ -32,13 +31,12 @@ KERNEL_FSES = ("ext4", "xfs", "f2fs")
 LAB_VARIANTS = ("all", "min", "d")
 
 
-def kernel_fs_api(device: str = "nvme", fs_name: str = "ext4", **fs_kw):
-    """(env, api, fs, device) for a kernel-FS baseline."""
-    env = Environment()
-    maybe_attach(env)
-    dev = make_device(env, device)
-    fs = make_filesystem(fs_name, env, dev, **fs_kw)
-    return env, KernelFsAdapter(fs), fs, dev
+def kernel_fs_api(env, device: str = "nvme", fs_name: str = "ext4", *,
+                  seed: int = 0, **fs_kw) -> KernelFsAdapter:
+    """FsApi over a kernel-FS baseline on its own seeded device."""
+    dev = make_device(env, device,
+                      rng=RngRegistry(seed).stream(f"device.{device}"))
+    return KernelFsAdapter(make_filesystem(fs_name, env, dev, **fs_kw))
 
 
 @dataclass
@@ -49,12 +47,10 @@ class LabFsFixture:
     mount: str
 
     @classmethod
-    def build(cls, *, variant: str = "all", device: str = "nvme",
-              nworkers: int = 8, policy: str = "rr", mount: str = "fs::/x",
-              config: RuntimeConfig | None = None) -> "LabFsFixture":
-        cfg = config or RuntimeConfig(nworkers=nworkers, policy=policy,
-                                      max_workers=max(16, nworkers))
-        sys_ = LabStorSystem(devices=(device,), config=cfg)
+    def build(cls, env, config: RuntimeConfig, *, variant: str = "all",
+              device: str = "nvme", mount: str = "fs::/x",
+              seed: int = 0) -> "LabFsFixture":
+        sys_ = LabStorSystem(env=env, seed=seed, devices=(device,), config=config)
         sys_.stack(mount).fs(variant=variant).device(device).mount()
         return cls(system=sys_, mount=mount)
 
@@ -69,10 +65,6 @@ class LabFsFixture:
 
         return factory
 
-    @property
-    def env(self):
-        return self.system.env
-
 
 @dataclass
 class LabKvsFixture:
@@ -80,16 +72,12 @@ class LabKvsFixture:
     mount: str
 
     @classmethod
-    def build(cls, *, variant: str = "all", device: str = "nvme",
-              nworkers: int = 1, mount: str = "kvs::/x") -> "LabKvsFixture":
-        cfg = RuntimeConfig(nworkers=nworkers)
-        sys_ = LabStorSystem(devices=(device,), config=cfg)
+    def build(cls, env, *, variant: str = "all", device: str = "nvme",
+              mount: str = "kvs::/x", seed: int = 0) -> "LabKvsFixture":
+        sys_ = LabStorSystem(env=env, seed=seed, devices=(device,),
+                             config=RuntimeConfig(nworkers=1))
         sys_.stack(mount).kvs(variant=variant).device(device).mount()
         return cls(system=sys_, mount=mount)
 
     def kvs(self) -> GenericKVS:
         return GenericKVS(self.system.client(), self.mount)
-
-    @property
-    def env(self):
-        return self.system.env

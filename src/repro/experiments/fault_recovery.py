@@ -28,9 +28,9 @@ from ..mods.generic_fs import GenericFS
 from ..obs import Telemetry
 from ..system import LabStorSystem
 from ..units import msec, to_sec, usec
-from .report import format_table
+from .registry import Experiment, Table, register
 
-__all__ = ["run_fault_recovery", "sweep_fault_recovery", "format_fault_recovery"]
+__all__ = ["run_fault_recovery", "build_plan", "SCENARIO_LADDER"]
 
 WRITE_BS = 4096
 
@@ -73,45 +73,33 @@ def build_plan(
     return plan
 
 
-def run_fault_recovery(
-    *,
-    nwrites: int = 160,
-    seed: int = 0,
-    media_error_p: float = 0.0,
-    latency_p: float = 0.0,
-    qp_reject_p: float = 0.0,
-    power_cut: bool = False,
-    power_cut_at_ns: int | None = None,
-    restart_after_ns: int | None = None,
-    retry: bool = True,
-    max_attempts: int = 6,
-    timeout_ns: int | None = None,
-    plan: FaultPlan | None = None,
-) -> dict:
+def run_fault_recovery(env, p: dict, seed: int = 0) -> dict:
     """One configuration; returns goodput/recovery/consistency metrics.
 
-    ``plan`` overrides the scalar pressure knobs with a prebuilt
-    :class:`FaultPlan` (used by ``python -m repro.faults.report --plan``).
+    ``p`` carries ``nwrites``, optionally ``scenario`` (the row's label
+    in the ladder table) and the scalar pressure knobs of :func:`build_plan` (``power_cut=True``
+    schedules the cut at 2 ms unless ``power_cut_at_ns`` says otherwise);
+    ``plan`` overrides the knobs with a prebuilt :class:`FaultPlan`
+    (``python -m repro.faults.report --plan``).
     """
+    nwrites = p["nwrites"]
+    plan = p.get("plan")
     if plan is None:
+        cut_at = p.get("power_cut_at_ns", int(msec(2.0))) if p.get("power_cut") else None
         plan = build_plan(
-            media_error_p=media_error_p, latency_p=latency_p,
-            qp_reject_p=qp_reject_p,
-            power_cut_at_ns=(power_cut_at_ns if power_cut_at_ns is not None
-                             else int(msec(2.0))) if power_cut else None,
-            restart_after_ns=restart_after_ns,
+            media_error_p=p.get("media_error_p", 0.0),
+            latency_p=p.get("latency_p", 0.0),
+            qp_reject_p=p.get("qp_reject_p", 0.0),
+            power_cut_at_ns=cut_at, restart_after_ns=p.get("restart_after_ns"),
         )
     telemetry = Telemetry(keep_spans=False)
     system = LabStorSystem(
-        seed=seed, devices=("nvme",),
+        env=env, seed=seed, devices=("nvme",),
         config=RuntimeConfig(nworkers=2, max_workers=4),
         telemetry=telemetry, fault_plan=plan,
     )
     system.stack("fs::/cr").fs(variant="min").device("nvme").uuid_prefix("cr").mount()
-    policy = RetryPolicy(
-        max_attempts=max_attempts,
-        timeout_ns=timeout_ns if timeout_ns is not None else int(msec(50.0)),
-    ) if retry else None
+    policy = RetryPolicy(max_attempts=6, timeout_ns=int(msec(50.0)))
     gfs = GenericFS(system.client(), retry=policy)
     checker = CrashConsistencyChecker()
 
@@ -149,11 +137,13 @@ def run_fault_recovery(
         "recovery_ms": (recovery.quantile(0.5) / 1e6) if recovery.total else 0.0,
         "consistency": consistency,
     }
+    if "scenario" in p:  # the ladder's row label
+        result["scenario"] = p["scenario"]
     system.shutdown()
     return result
 
 
-#: (label, run_fault_recovery kwargs) — escalating fault pressure
+#: (label, pressure knobs) — escalating fault pressure
 SCENARIO_LADDER = (
     ("baseline", {}),
     ("media 5%", {"media_error_p": 0.05}),
@@ -162,24 +152,19 @@ SCENARIO_LADDER = (
                            "qp_reject_p": 0.03, "power_cut": True}),
 )
 
-
-def sweep_fault_recovery(*, nwrites: int = 160, seed: int = 0) -> list[dict]:
-    """Run the escalation ladder; every row stays crash-consistent."""
-    rows = []
-    for label, kw in SCENARIO_LADDER:
-        r = run_fault_recovery(nwrites=nwrites, seed=seed, **kw)
-        r["scenario"] = label
-        rows.append(r)
-    return rows
-
-
-def format_fault_recovery(rows: list[dict]) -> str:
-    headers = ["scenario", "acked", "gave up", "injected", "retries",
-               "goodput (kops/s)", "recovery (ms)"]
-    table = [
-        [r["scenario"], f'{r["acked"]}/{r["nwrites"]}', r["gave_up"],
-         r["injected"], r["retries"], r["goodput_kops_s"], r["recovery_ms"]]
-        for r in rows
-    ]
-    return format_table(headers, table,
-                        title="E11 — goodput and recovery under faults")
+register(Experiment(
+    name="faults", figure="E11 — goodput and recovery under faults", artifact=None,
+    point=run_fault_recovery,
+    grid=tuple({"scenario": label, "nwrites": 120, **kw}
+               for label, kw in SCENARIO_LADDER),
+    seeds="base",
+    table=Table(
+        title="E11 — goodput and recovery under faults",
+        columns=(("scenario", "{scenario}"), ("acked", "{acked}/{nwrites}"),
+                 ("gave up", "{gave_up}"), ("injected", "{injected}"),
+                 ("retries", "{retries}"),
+                 ("goodput (kops/s)", "{goodput_kops_s:.2f}"),
+                 ("recovery (ms)", "{recovery_ms:.2f}")),
+    ),
+    gates=None,
+))

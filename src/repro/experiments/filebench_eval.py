@@ -15,29 +15,27 @@ from __future__ import annotations
 from ..core.runtime import RuntimeConfig
 from ..workloads.filebench import PERSONALITIES, run_personality
 from .common import KERNEL_FSES, LabFsFixture, kernel_fs_api
-from .report import format_table
+from .registry import Experiment, Table, register
 
-__all__ = ["run_filebench", "sweep_filebench", "format_filebench", "FB_CONFIGS"]
+__all__ = ["run_filebench", "FB_CONFIGS"]
 
 FB_CONFIGS = ("ext4", "xfs", "f2fs", "lab-all", "lab-min", "lab-d")
 
 
-def run_filebench(config: str, personality: str, *, device: str = "nvme",
-                  nthreads: int = 4, loops: int = 6, seed: int = 0) -> dict:
+def run_filebench(env, p: dict, seed: int = 0) -> dict:
+    config, personality, device = p["config"], p["personality"], p["device"]
     if config in KERNEL_FSES:
         # page cache sized so sustained fileserver writes trigger writeback
         # during the (scaled) run, as on a real machine under steady state
-        env, api, _fs, _dev = kernel_fs_api(device, config, cache_pages=4096)
-        result = run_personality(env, lambda tid: api, personality,
-                                 nthreads=nthreads, loops=loops, seed=seed)
+        api = kernel_fs_api(env, device, config, seed=seed, cache_pages=4096)
+        api_factory = lambda tid: api  # noqa: E731
     else:
-        variant = config.split("-", 1)[1]
-        fixture = LabFsFixture.build(
-            variant=variant, nworkers=8, device=device,
-            config=RuntimeConfig(nworkers=8, min_workers=8, max_workers=16, ncores=32),
-        )
-        result = run_personality(fixture.env, fixture.api_factory(), personality,
-                                 nthreads=nthreads, loops=loops, seed=seed)
+        api_factory = LabFsFixture.build(
+            env, RuntimeConfig(nworkers=8, min_workers=8, max_workers=16, ncores=32),
+            variant=config.split("-", 1)[1], device=device, seed=seed,
+        ).api_factory()
+    result = run_personality(env, api_factory, personality,
+                             nthreads=p["nthreads"], loops=p["loops"], seed=seed)
     return {
         "config": config,
         "personality": personality,
@@ -46,31 +44,27 @@ def run_filebench(config: str, personality: str, *, device: str = "nvme",
     }
 
 
-def sweep_filebench(*, personalities=tuple(PERSONALITIES), configs=FB_CONFIGS,
-                    device: str = "nvme", nthreads: int = 4, loops: int = 5,
-                    seed: int = 0) -> list[dict]:
-    rows = []
-    for personality in personalities:
-        for config in configs:
-            rows.append(run_filebench(config, personality, device=device,
-                                      nthreads=nthreads, loops=loops, seed=seed))
-    return rows
+def _gates(result: dict) -> None:
+    by = {(r["config"], r["personality"]): r["kops_per_sec"] for r in result["rows"]}
+    # LabFS stacks win the metadata/small-I/O personalities
+    for wl in ("varmail", "webproxy"):
+        best_kernel = max(by[(fs, wl)] for fs in ("ext4", "xfs", "f2fs"))
+        assert by[("lab-min", wl)] > best_kernel
+        assert by[("lab-d", wl)] > by[("lab-all", wl)]
+    # fileserver is the exception: bandwidth-bound, LabFS does not win
+    assert by[("lab-min", "fileserver")] < 1.2 * by[("ext4", "fileserver")]
 
 
-def format_filebench(rows: list[dict]) -> str:
-    personalities = []
-    configs = []
-    for r in rows:
-        if r["personality"] not in personalities:
-            personalities.append(r["personality"])
-        if r["config"] not in configs:
-            configs.append(r["config"])
-    table = []
-    for config in configs:
-        vals = {r["personality"]: r["kops_per_sec"] for r in rows if r["config"] == config}
-        table.append([config] + [f"{vals.get(p, 0):.1f}" for p in personalities])
-    return format_table(
-        ["config \\ workload"] + list(personalities),
-        table,
-        title="Fig 9(c) — Filebench throughput (K ops/sec) on NVMe",
-    )
+register(Experiment(
+    name="fig9c", figure="Fig 9(c)", artifact="filebench",
+    point=run_filebench,
+    grid=tuple({"config": config, "personality": personality, "device": "nvme",
+                "nthreads": 4, "loops": 5}
+               for personality in PERSONALITIES for config in FB_CONFIGS),
+    seeds="base",
+    table=Table(title="Fig 9(c) — Filebench throughput (K ops/sec) on NVMe",
+                pivot=("config", "personality", "{kops_per_sec:.1f}")),
+    gates=_gates,
+    smoke={"config": "f2fs", "personality": "varmail", "device": "nvme",
+           "nthreads": 2, "loops": 1},
+))

@@ -19,26 +19,24 @@ from __future__ import annotations
 from ..core.runtime import RuntimeConfig
 from ..workloads.fxmark import run_create
 from .common import KERNEL_FSES, LabFsFixture, kernel_fs_api
-from .report import format_table
+from .registry import Experiment, Table, register
 
-__all__ = ["run_metadata", "sweep_metadata", "format_metadata", "CONFIGS"]
+__all__ = ["run_metadata", "CONFIGS"]
 
 CONFIGS = ("ext4", "xfs", "f2fs", "labfs-all", "labfs-min", "labfs-d")
 
 
-def run_metadata(config: str, *, nthreads: int, files_per_thread: int = 100,
-                 nworkers: int = 16, seed: int = 0) -> dict:
+def run_metadata(env, p: dict, seed: int = 0) -> dict:
+    config, nthreads = p["config"], p["nthreads"]
     if config in KERNEL_FSES:
-        env, api, fs, _dev = kernel_fs_api("nvme", config)
-        result = run_create(env, lambda tid: api, nthreads, files_per_thread)
+        api = kernel_fs_api(env, "nvme", config, seed=seed)
+        result = run_create(env, lambda tid: api, nthreads, p["files_per_thread"])
     else:
-        variant = config.split("-", 1)[1]
         fixture = LabFsFixture.build(
-            variant=variant, nworkers=nworkers,
-            config=RuntimeConfig(nworkers=nworkers, min_workers=nworkers,
-                                 max_workers=max(16, nworkers), ncores=48),
+            env, RuntimeConfig(nworkers=16, min_workers=16, max_workers=16, ncores=48),
+            variant=config.split("-", 1)[1], seed=seed,
         )
-        result = run_create(fixture.env, fixture.api_factory(), nthreads, files_per_thread)
+        result = run_create(env, fixture.api_factory(), nthreads, p["files_per_thread"])
     return {
         "config": config,
         "nthreads": nthreads,
@@ -46,28 +44,27 @@ def run_metadata(config: str, *, nthreads: int, files_per_thread: int = 100,
     }
 
 
-def sweep_metadata(*, thread_counts=(1, 4, 8, 16, 24), files_per_thread: int = 60,
-                   configs=CONFIGS, seed: int = 0) -> list[dict]:
-    rows = []
-    for config in configs:
-        for n in thread_counts:
-            rows.append(run_metadata(config, nthreads=n,
-                                     files_per_thread=files_per_thread, seed=seed))
-    return rows
+def _gates(result: dict) -> None:
+    by = {(r["config"], r["nthreads"]): r["kops_per_sec"] for r in result["rows"]}
+    # LabFS up to ~3x over the kernel filesystems single-threaded
+    assert by[("labfs-all", 1)] > 1.8 * by[("ext4", 1)]
+    # removing permissions: ~+7%; removing the centralized authority: ~+20%
+    assert 1.02 < by[("labfs-min", 1)] / by[("labfs-all", 1)] < 1.20
+    assert 1.08 < by[("labfs-d", 1)] / by[("labfs-min", 1)] < 1.45
+    # LabFS scales with client threads; kernel FSes flatline on their locks
+    assert by[("labfs-all", 24)] > 6 * by[("labfs-all", 1)]
+    for fs in ("ext4", "xfs", "f2fs"):
+        assert by[(fs, 24)] < 3 * by[(fs, 1)]
 
 
-def format_metadata(rows: list[dict]) -> str:
-    threads = sorted({r["nthreads"] for r in rows})
-    configs = []
-    for r in rows:
-        if r["config"] not in configs:
-            configs.append(r["config"])
-    table = []
-    for config in configs:
-        vals = {r["nthreads"]: r["kops_per_sec"] for r in rows if r["config"] == config}
-        table.append([config] + [f"{vals.get(t, 0):.1f}" for t in threads])
-    return format_table(
-        ["config \\ threads"] + [str(t) for t in threads],
-        table,
-        title="Fig 7 — metadata throughput (K creates/sec)",
-    )
+register(Experiment(
+    name="fig7", figure="Fig 7", artifact="metadata",
+    point=run_metadata,
+    grid=tuple({"config": config, "nthreads": n, "files_per_thread": 60}
+               for config in CONFIGS for n in (1, 4, 8, 16, 24)),
+    seeds="base",
+    table=Table(title="Fig 7 — metadata throughput (K creates/sec)",
+                pivot=("config", "nthreads", "{kops_per_sec:.1f}")),
+    gates=_gates,
+    smoke={"config": "ext4", "nthreads": 4, "files_per_thread": 8},
+))

@@ -19,27 +19,25 @@ Expected shape — the textbook open-loop curve:
 from __future__ import annotations
 
 from ..units import msec
-from .report import format_table
-from .sweep import run_sweep
+from .registry import Experiment, Table, register
 
-__all__ = ["OFFERED_LOADS", "POLICIES", "run_openloop_point", "sweep_openloop",
-           "format_openloop"]
+__all__ = ["OFFERED_LOADS", "POLICIES", "run_openloop_point"]
 
 OFFERED_LOADS = (0.25, 0.5, 1.0, 1.5, 2.5, 4.0)
 POLICIES = ("none", "queue-depth")
 
 
-def run_openloop_point(point: dict, seed: int) -> dict:
-    """One sweep point (module-level: must cross a process pool)."""
+def run_openloop_point(env, point: dict, seed: int) -> dict:
+    """One offered-load point under one admission policy."""
     from ..traffic.engine import QueueDepthAdmission
     from ..traffic.presets import build_overload_engine
 
     policy = None
     if point["policy"] == "queue-depth":
-        policy = QueueDepthAdmission(point.get("max_inflight", 4))
+        policy = QueueDepthAdmission(point["max_inflight"])
     system, engine = build_overload_engine(
-        seed=seed,
-        duration_ns=msec(point.get("duration_ms", 2.0)),
+        env=env, seed=seed,
+        duration_ns=msec(point["duration_ms"]),
         load=point["load"],
         policy=policy,
     )
@@ -65,30 +63,55 @@ def run_openloop_point(point: dict, seed: int) -> dict:
     return row
 
 
-def sweep_openloop(loads=OFFERED_LOADS, policies=POLICIES, *,
-                   duration_ms: float = 2.0, max_inflight: int = 4,
-                   base_seed: int = 0, processes: int | None = None) -> list[dict]:
-    """The goodput-vs-offered-load grid; rows in configuration order."""
-    points = [
-        {"policy": p, "load": load, "duration_ms": duration_ms,
-         "max_inflight": max_inflight}
-        for p in policies for load in loads
-    ]
-    return run_sweep(run_openloop_point, points, base_seed=base_seed,
-                     processes=processes)
-
-
-def format_openloop(rows: list[dict]) -> str:
-    return format_table(
-        ["policy", "load", "offered K/s", "goodput K/s", "done K/s",
-         "viol", "rej", "peak qd", "fe p99 us", "fe p999 us"],
-        [[r["policy"], f"{r['load']:.2f}",
-          f"{r['offered_ops_s'] / 1000:.0f}",
-          f"{r['goodput_ops_s'] / 1000:.1f}",
-          f"{r['achieved_ops_s'] / 1000:.1f}",
-          str(r["violations"]), str(r["rejected"]), str(r["peak_inflight"]),
-          f"{r['frontend_p99_ns'] / 1000:.0f}",
-          f"{r['frontend_p999_ns'] / 1000:.0f}"]
-         for r in rows],
-        title="E13 — open-loop overload (2 tenants, YCSB on LabKVS, NVMe)",
+def _gates(result: dict) -> None:
+    rows = result["rows"]
+    by = {(r["policy"], r["load"]): r for r in rows}
+    loads = sorted({r["load"] for r in rows})
+    lo, hi = loads[0], loads[-1]
+    # below saturation goodput tracks offered load (no admission needed)
+    light = by[("none", lo)]
+    assert light["good"] >= 0.9 * light["launched"], (
+        f"light load already violating SLOs: {light}"
     )
+    # past saturation the no-admission goodput collapses below the knee...
+    knee = max(by[("none", load)]["goodput_ops_s"] for load in loads)
+    collapsed = by[("none", hi)]["goodput_ops_s"]
+    assert collapsed < 0.6 * knee, (
+        f"open loop failed to expose overload: {collapsed:.0f} vs knee {knee:.0f}"
+    )
+    # ...while queue-depth admission sheds load and holds a plateau
+    guarded = by[("queue-depth", hi)]
+    assert guarded["rejected"] > 0, "admission control never engaged"
+    assert guarded["goodput_ops_s"] > 2.0 * collapsed, (
+        f"admission control did not protect goodput: "
+        f"{guarded['goodput_ops_s']:.0f} vs {collapsed:.0f}"
+    )
+
+
+def _scaled(rows: list[dict]) -> list[dict]:
+    """Kops/s and microseconds for display."""
+    return [{**r,
+             "offered_K": r["offered_ops_s"] / 1000,
+             "goodput_K": r["goodput_ops_s"] / 1000,
+             "achieved_K": r["achieved_ops_s"] / 1000,
+             "fe_p99_us": r["frontend_p99_ns"] / 1000,
+             "fe_p999_us": r["frontend_p999_ns"] / 1000} for r in rows]
+
+
+register(Experiment(
+    name="openloop", figure="E13 — open-loop overload (goodput vs offered load)",
+    artifact="openloop", point=run_openloop_point,
+    grid=tuple({"policy": policy, "load": load, "duration_ms": 2.0, "max_inflight": 4}
+               for policy in POLICIES for load in OFFERED_LOADS),
+    seeds="per-point",
+    table=Table(
+        title="E13 — open-loop overload (2 tenants, YCSB on LabKVS, NVMe)",
+        columns=(("policy", "{policy}"), ("load", "{load:.2f}"),
+                 ("offered K/s", "{offered_K:.0f}"), ("goodput K/s", "{goodput_K:.1f}"),
+                 ("done K/s", "{achieved_K:.1f}"), ("viol", "{violations}"),
+                 ("rej", "{rejected}"), ("peak qd", "{peak_inflight}"),
+                 ("fe p99 us", "{fe_p99_us:.0f}"), ("fe p999 us", "{fe_p999_us:.0f}")),
+        derive=_scaled,
+    ),
+    gates=_gates,
+))

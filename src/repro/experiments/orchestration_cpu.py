@@ -18,9 +18,9 @@ from ..core.runtime import RuntimeConfig
 from ..system import LabStorSystem
 from ..units import msec, sec
 from ..workloads.fio import FioJob, LabStackEngine, run_fio
-from .report import format_table
+from .registry import Experiment, Table, register
 
-__all__ = ["run_orchestration_cpu", "sweep_orchestration_cpu", "format_orchestration_cpu"]
+__all__ = ["run_orchestration_cpu"]
 
 
 def _worker_setting(kind: str) -> dict:
@@ -33,11 +33,10 @@ def _worker_setting(kind: str) -> dict:
     raise ValueError(f"unknown worker setting {kind!r}")
 
 
-def run_orchestration_cpu(
-    *, nclients: int, workers: str, ops_per_client: int = 1500, seed: int = 0
-) -> dict:
+def run_orchestration_cpu(env, p: dict, seed: int = 0) -> dict:
+    nclients, workers, ops_per_client = p["nclients"], p["workers"], p["ops_per_client"]
     cfg = RuntimeConfig(orchestrator_interval_ns=msec(1.0), **_worker_setting(workers))
-    sys_ = LabStorSystem(seed=seed, devices=("nvme",), config=cfg)
+    sys_ = LabStorSystem(env=env, seed=seed, devices=("nvme",), config=cfg)
     spec = StackSpec.linear("blk::/w", [("NoOpSchedMod", "ocpu.noop"),
                                         ("KernelDriverMod", "ocpu.drv")])
     spec.nodes[0].attrs = {"nqueues": sys_.devices["nvme"].nqueues}
@@ -82,24 +81,32 @@ def run_orchestration_cpu(
     }
 
 
-def sweep_orchestration_cpu(
-    *, client_counts=(1, 2, 4, 8, 16), ops_per_client: int = 1000, seed: int = 0
-) -> list[dict]:
-    rows = []
-    for workers in ("1worker", "8workers", "dynamic"):
-        for n in client_counts:
-            rows.append(
-                run_orchestration_cpu(
-                    nclients=n, workers=workers, ops_per_client=ops_per_client, seed=seed
-                )
-            )
-    return rows
+def _gates(result: dict) -> None:
+    by = {(r["workers"], r["nclients"]): r for r in result["rows"]}
+    # 1 worker saturates: by 8 clients it is far below the 8-worker config
+    assert by[("1worker", 8)]["iops"] < 0.6 * by[("8workers", 8)]["iops"]
+    # at low client counts a single worker matches the big pool
+    assert by[("1worker", 1)]["iops"] > 0.95 * by[("8workers", 1)]["iops"]
+    # 8 workers burn more CPU than dynamic at mid-range load
+    assert by[("8workers", 8)]["busy_cores"] > 1.5 * by[("dynamic", 8)]["busy_cores"]
+    # dynamic approaches the 8-worker performance at 16 clients
+    assert by[("dynamic", 16)]["iops"] > 0.75 * by[("8workers", 16)]["iops"]
 
 
-def format_orchestration_cpu(rows: list[dict]) -> str:
-    return format_table(
-        ["config", "clients", "KIOPS", "busy cores", "workers@end"],
-        [[r["workers"], r["nclients"], r["iops"] / 1000, r["busy_cores"], r["final_workers"]]
-         for r in rows],
+register(Experiment(
+    name="fig5a", figure="Fig 5(a)", artifact="orchestrator_cpu",
+    point=run_orchestration_cpu,
+    grid=tuple({"workers": workers, "nclients": n, "ops_per_client": 600}
+               for workers in ("1worker", "8workers", "dynamic")
+               for n in (1, 2, 4, 8, 16)),
+    seeds="base",
+    table=Table(
         title="Fig 5(a) — dynamic CPU allocation (IOPS + cores burned)",
-    )
+        columns=(("config", "{workers}"), ("clients", "{nclients}"),
+                 ("KIOPS", "{kiops:.2f}"), ("busy cores", "{busy_cores:.2f}"),
+                 ("workers@end", "{final_workers}")),
+        derive=lambda rows: [{**r, "kiops": r["iops"] / 1000} for r in rows],
+    ),
+    gates=_gates,
+    smoke={"workers": "dynamic", "nclients": 4, "ops_per_client": 60},
+))

@@ -17,47 +17,42 @@ from ..core.runtime import RuntimeConfig
 from ..devices.profiles import make_device
 from ..kernel import make_filesystem
 from ..pfs import OrangeFs
-from ..sim import Environment
+from ..sim import RngRegistry
 from ..units import to_sec
 from ..workloads.fsapi import KernelFsAdapter
 from ..workloads.vpic import VpicConfig, run_bdcats, run_vpic
 from .common import LabFsFixture
-from .report import format_table
+from .registry import Experiment, Table, register
 
-__all__ = ["run_pfs", "sweep_pfs", "format_pfs", "MDS_BACKENDS"]
+__all__ = ["run_pfs", "MDS_BACKENDS"]
 
 MDS_BACKENDS = ("ext4", "labfs-all", "labfs-min")
 
 
-def _build_pfs(env_holder: dict, mds_backend: str, data_device: str, ndata: int,
-               layout_batch: int = 1):
+def _build_pfs(env, mds_backend: str, data_device: str, ndata: int, seed: int):
+    rngs = RngRegistry(seed)  # the kernel-side devices; LabFS seeds its own
     if mds_backend == "ext4":
-        env = Environment()
-        mds_dev = make_device(env, "nvme")
+        mds_dev = make_device(env, "nvme", rng=rngs.stream("device.mds"))
         mds_api = KernelFsAdapter(make_filesystem("ext4", env, mds_dev))
     else:
-        variant = mds_backend.split("-", 1)[1]
         fixture = LabFsFixture.build(
-            variant=variant, nworkers=4,
-            config=RuntimeConfig(nworkers=4, min_workers=4, max_workers=8),
-            mount="fs::/mds",
+            env, RuntimeConfig(nworkers=4, min_workers=4, max_workers=8),
+            variant=mds_backend.split("-", 1)[1], mount="fs::/mds", seed=seed,
         )
-        env = fixture.env
         mds_api = fixture.api_factory()(0)
     data_apis = [
-        KernelFsAdapter(make_filesystem("ext4", env, make_device(env, data_device)))
-        for _ in range(ndata)
+        KernelFsAdapter(make_filesystem("ext4", env, make_device(
+            env, data_device, rng=rngs.stream(f"device.data{i}"))))
+        for i in range(ndata)
     ]
-    env_holder["env"] = env
-    return OrangeFs(env, mds_api, data_apis, layout_batch=layout_batch)
+    return OrangeFs(env, mds_api, data_apis, layout_batch=1)
 
 
-def run_pfs(*, mds_backend: str, data_device: str, ndata: int = 4,
-            cfg: VpicConfig | None = None, layout_batch: int = 1, seed: int = 0) -> dict:
-    cfg = cfg or VpicConfig(nprocs=4, timesteps=4, particles_per_proc=4096)
-    holder: dict = {}
-    pfs = _build_pfs(holder, mds_backend, data_device, ndata, layout_batch)
-    env = holder["env"]
+def run_pfs(env, p: dict, seed: int = 0) -> dict:
+    mds_backend, data_device = p["mds_backend"], p["data_device"]
+    cfg = VpicConfig(nprocs=p["nprocs"], timesteps=p["timesteps"],
+                     particles_per_proc=p["particles_per_proc"])
+    pfs = _build_pfs(env, mds_backend, data_device, p["ndata"], seed)
     vpic = run_vpic(env, pfs, cfg)
     pfs.drop_data_caches()  # BD-CATS starts cold, as on the real testbed
     bdcats = run_bdcats(env, pfs, cfg)
@@ -72,20 +67,36 @@ def run_pfs(*, mds_backend: str, data_device: str, ndata: int = 4,
     }
 
 
-def sweep_pfs(*, data_devices=("hdd", "ssd", "nvme"), ndata: int = 4,
-              cfg: VpicConfig | None = None, seed: int = 0) -> list[dict]:
-    rows = []
-    for data_device in data_devices:
-        for backend in MDS_BACKENDS:
-            rows.append(run_pfs(mds_backend=backend, data_device=data_device,
-                                ndata=ndata, cfg=cfg, seed=seed))
-    return rows
+def _gates(result: dict) -> None:
+    def vpic(device):
+        return {r["mds_backend"]: r["vpic_s"] for r in result["rows"]
+                if r["data_device"] == device}
+
+    # fast data devices expose the metadata-server speedup (paper: 6-12%)
+    nvme = vpic("nvme")
+    gain_nvme = nvme["ext4"] / nvme["labfs-min"] - 1
+    assert gain_nvme > 0.04
+    # on HDD the I/O cost buries it
+    hdd = vpic("hdd")
+    gain_hdd = hdd["ext4"] / hdd["labfs-min"] - 1
+    assert gain_nvme > gain_hdd + 0.03
 
 
-def format_pfs(rows: list[dict]) -> str:
-    return format_table(
-        ["data device", "MDS backend", "VPIC (s)", "BD-CATS (s)", "VPIC MB/s", "BD-CATS MB/s"],
-        [[r["data_device"], r["mds_backend"], f"{r['vpic_s']:.4f}", f"{r['bdcats_s']:.4f}",
-          f"{r['vpic_MBps']:.1f}", f"{r['bdcats_MBps']:.1f}"] for r in rows],
+register(Experiment(
+    name="fig9a", figure="Fig 9(a)", artifact="pfs",
+    point=run_pfs,
+    grid=tuple({"mds_backend": backend, "data_device": data_device, "ndata": 4,
+                "nprocs": 4, "timesteps": 4, "particles_per_proc": 4096}
+               for data_device in ("hdd", "ssd", "nvme")
+               for backend in MDS_BACKENDS),
+    seeds="base",
+    table=Table(
         title="Fig 9(a) — VPIC/BD-CATS over OrangeFS with customized MDS stacks",
-    )
+        columns=(("data device", "{data_device}"), ("MDS backend", "{mds_backend}"),
+                 ("VPIC (s)", "{vpic_s:.4f}"), ("BD-CATS (s)", "{bdcats_s:.4f}"),
+                 ("VPIC MB/s", "{vpic_MBps:.1f}"), ("BD-CATS MB/s", "{bdcats_MBps:.1f}")),
+    ),
+    gates=_gates,
+    smoke={"mds_backend": "ext4", "data_device": "ssd", "ndata": 2,
+           "nprocs": 2, "timesteps": 1, "particles_per_proc": 512},
+))

@@ -26,13 +26,12 @@ from ..core.runtime import RuntimeConfig
 from ..devices.profiles import make_device
 from ..kernel.block_layer import BlockLayer, KernelBlkSwitch, KernelNoop
 from ..kernel.interfaces import IoUring
-from ..sim import Environment
 from ..system import LabStorSystem
 from ..units import KiB
 from ..workloads.fio import FioJob, LabStackEngine, RawDeviceEngine, run_fio
-from .report import format_table
+from .registry import Experiment, Table, register
 
-__all__ = ["run_schedulers", "sweep_schedulers", "format_schedulers", "SCHEDULERS"]
+__all__ = ["run_schedulers", "SCHEDULERS"]
 
 SCHEDULERS = ("linux-noop", "linux-blk", "lab-noop", "lab-blk")
 
@@ -51,11 +50,9 @@ def _jobs(colocated: bool, l_nops: int, t_nops: int):
     return l_jobs, t_jobs
 
 
-def run_schedulers(scheduler: str, *, colocated: bool, l_nops: int = 150,
-                   t_nops: int = 120, seed: int = 0) -> dict:
-    make_engine = None
+def run_schedulers(env, p: dict, seed: int = 0) -> dict:
+    scheduler, colocated = p["scheduler"], p["colocated"]
     if scheduler.startswith("linux-"):
-        env = Environment()
         dev = make_device(env, "nvme")
         iface = IoUring(env, dev)  # the paper drives kernel schedulers via fio
         iface.block_layer.set_scheduler(
@@ -65,7 +62,7 @@ def run_schedulers(scheduler: str, *, colocated: bool, l_nops: int = 150,
         make_engine = lambda: engine  # noqa: E731 - kernel path is stateless per thread
     else:
         sched_mod = "NoOpSchedMod" if scheduler == "lab-noop" else "BlkSwitchSchedMod"
-        sys_ = LabStorSystem(seed=seed, devices=("nvme",),
+        sys_ = LabStorSystem(env=env, seed=seed, devices=("nvme",),
                              config=RuntimeConfig(nworkers=8, ncores=48))
         attrs = ({"nqueues": sys_.devices["nvme"].nqueues}
                  if sched_mod == "NoOpSchedMod" else {"device": "nvme"})
@@ -75,14 +72,13 @@ def run_schedulers(scheduler: str, *, colocated: bool, l_nops: int = 150,
         spec.nodes[0].attrs = attrs
         spec.nodes[1].attrs = {"device": "nvme"}
         stack = sys_.runtime.mount_stack(spec)
-        env = sys_.env
         # one client (one unordered queue pair) per fio thread, as in the
         # paper — unordered so qd32 stays 32-outstanding inside the Runtime
         make_engine = lambda: LabStackEngine(  # noqa: E731
             sys_.client(ordered=False), stack, sys_.devices["nvme"]
         )
 
-    l_jobs, t_jobs = _jobs(colocated, l_nops, t_nops)
+    l_jobs, t_jobs = _jobs(colocated, p["l_nops"], p["t_nops"])
     # run T-jobs and L-jobs together but record only L latency
     from ..workloads.fio import FioResult, _job_proc
     import numpy as np
@@ -108,19 +104,34 @@ def run_schedulers(scheduler: str, *, colocated: bool, l_nops: int = 150,
     }
 
 
-def sweep_schedulers(*, l_nops: int = 120, t_nops: int = 100, seed: int = 0) -> list[dict]:
-    rows = []
-    for colocated in (False, True):
-        for sched in SCHEDULERS:
-            rows.append(run_schedulers(sched, colocated=colocated,
-                                       l_nops=l_nops, t_nops=t_nops, seed=seed))
-    return rows
+def _gates(result: dict) -> None:
+    by = {(r["scheduler"], r["colocated"]): r for r in result["rows"]}
+    # isolated: noop performs at least as well as blk-switch (paper Table II)
+    assert by[("linux-noop", False)]["l_lat_mean_us"] <= 1.05 * by[("linux-blk", False)]["l_lat_mean_us"]
+    # colocated: noop suffers head-of-line blocking
+    assert by[("linux-noop", True)]["l_lat_p99_us"] > 5 * by[("linux-noop", False)]["l_lat_p99_us"]
+    assert by[("lab-noop", True)]["l_lat_p99_us"] > 5 * by[("lab-noop", False)]["l_lat_p99_us"]
+    # blk-switch restores QoS in both worlds
+    assert by[("linux-blk", True)]["l_lat_p99_us"] < by[("linux-noop", True)]["l_lat_p99_us"] / 3
+    assert by[("lab-blk", True)]["l_lat_p99_us"] < by[("lab-noop", True)]["l_lat_p99_us"] / 3
 
 
-def format_schedulers(rows: list[dict]) -> str:
-    return format_table(
-        ["scheduler", "placement", "L-App mean (us)", "L-App p99 (us)"],
-        [[r["scheduler"], "colocated" if r["colocated"] else "isolated",
-          r["l_lat_mean_us"], r["l_lat_p99_us"]] for r in rows],
+register(Experiment(
+    name="fig8", figure="Fig 8 / Table II", artifact="schedulers",
+    point=run_schedulers,
+    grid=tuple({"scheduler": sched, "colocated": colocated,
+                "l_nops": 120, "t_nops": 120}
+               for colocated in (False, True) for sched in SCHEDULERS),
+    seeds="base",
+    table=Table(
         title="Fig 8 / Table II — I/O scheduler comparison (L-App latency)",
-    )
+        columns=(("scheduler", "{scheduler}"), ("placement", "{placement}"),
+                 ("L-App mean (us)", "{l_lat_mean_us:.2f}"),
+                 ("L-App p99 (us)", "{l_lat_p99_us:.2f}")),
+        derive=lambda rows: [
+            {**r, "placement": "colocated" if r["colocated"] else "isolated"}
+            for r in rows],
+    ),
+    gates=_gates,
+    smoke={"scheduler": "linux-blk", "colocated": True, "l_nops": 8, "t_nops": 8},
+))

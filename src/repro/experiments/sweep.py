@@ -34,19 +34,14 @@ snapshot rides the pickle channel into each worker process like any
 other argument; determinism is unchanged (seeds still derive from
 ``(base_seed, index)``), so a warm sweep must merge byte-identical to a
 cold serial one — ``tests/test_sweep.py`` pins that.
-
-CLI demo::
-
-    python -m repro.experiments.sweep --processes 4
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 __all__ = ["point_seed", "run_sweep"]
 
@@ -106,87 +101,3 @@ def run_sweep(
         # iterating submission order IS configuration order; completion
         # order never surfaces
         return [f.result() for f in futures]
-
-
-# ----------------------------------------------------------------------
-# CLI demo: the paper's Fig-6-style iodepth sweep, parallelized
-# ----------------------------------------------------------------------
-def _fio_point(point: dict, seed: int) -> dict:
-    """One self-contained fio run (module-level: must cross the pool)."""
-    from ..core.labstack import StackSpec
-    from ..core.runtime import RuntimeConfig
-    from ..system import LabStorSystem
-    from ..workloads.fio import FioJob, LabStackEngine, run_fio
-
-    sys_ = LabStorSystem(devices=("nvme",),
-                         config=RuntimeConfig(nworkers=point.get("nworkers", 2)))
-    spec = StackSpec.linear(
-        "blk::/sweep",
-        [("NoOpSchedMod", "sweep.noop"), ("KernelDriverMod", "sweep.drv")],
-    )
-    spec.nodes[0].attrs = {"nqueues": 8}
-    spec.nodes[1].attrs = {"device": "nvme"}
-    stack = sys_.runtime.mount_stack(spec)
-    engine = LabStackEngine(sys_.client(), stack, sys_.devices["nvme"])
-    jobs = [
-        FioJob(rw="randwrite" if i % 2 else "randread", bs=point.get("bs", 4096),
-               nops=point.get("nops", 200), iodepth=point.get("iodepth", 4), core=i)
-        for i in range(point.get("njobs", 4))
-    ]
-    res = run_fio(sys_.env, engine, jobs, seed=seed)
-    return {"bs": point.get("bs", 4096), "iodepth": point.get("iodepth", 4),
-            "iops": res.iops, "bw_MBps": res.bandwidth / 1e6,
-            "events": sys_.env._eid, "virtual_ns": sys_.env.now, "seed": seed}
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    import argparse
-    import json as _json
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.sweep",
-        description="Demo: parallel fio block-size sweep with deterministic seeds.",
-    )
-    parser.add_argument("--block-sizes", type=int, nargs="*",
-                        default=[512, 1024, 4096, 16384, 65536, 262144])
-    parser.add_argument("--nops", type=int, default=200)
-    parser.add_argument("--processes", type=int, default=None,
-                        help="worker processes (1 = serial; default: cpu count)")
-    parser.add_argument("--base-seed", type=int, default=0)
-    parser.add_argument("--json", metavar="PATH", help="write rows as JSON")
-    parser.add_argument("--verify-serial", action="store_true",
-                        help="re-run serially and assert identical results")
-    args = parser.parse_args(argv)
-
-    points = [{"bs": bs, "nops": args.nops} for bs in args.block_sizes]
-    t0 = time.perf_counter()
-    rows = run_sweep(_fio_point, points, base_seed=args.base_seed,
-                     processes=args.processes)
-    wall = time.perf_counter() - t0
-
-    print(f"{'bs':>8} {'iops':>12} {'bw_MBps':>9} {'virtual_ms':>11}")
-    for row in rows:
-        print(f"{row['bs']:>8} {row['iops']:>12,.0f} {row['bw_MBps']:>9.1f} "
-              f"{row['virtual_ns'] / 1e6:>11.2f}")
-    nproc = args.processes or min(len(points), os.cpu_count() or 1)
-    print(f"{len(points)} points in {wall:.2f}s on {nproc} process(es)")
-
-    if args.verify_serial:
-        t0 = time.perf_counter()
-        serial = run_sweep(_fio_point, points, base_seed=args.base_seed,
-                           processes=1)
-        swall = time.perf_counter() - t0
-        assert serial == rows, "parallel sweep diverged from serial run"
-        print(f"serial verification passed in {swall:.2f}s "
-              f"({swall / wall:.1f}x the parallel wall clock)")
-
-    if args.json:
-        with open(args.json, "w") as fh:
-            _json.dump({"rows": rows, "base_seed": args.base_seed}, fh,
-                       indent=2, sort_keys=True)
-            fh.write("\n")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

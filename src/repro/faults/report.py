@@ -37,16 +37,16 @@ CSV_HEADERS = ("metric", "value")
 def run_report(*, nwrites: int = 160, seed: int = 0,
                plan: FaultPlan | None = None) -> dict:
     """Run one chaos pass and return the combined metrics dict."""
-    from ..experiments.fault_recovery import run_fault_recovery
+    from ..experiments.runner import EXPERIMENTS, run_experiment
 
-    if plan is not None:
-        return run_fault_recovery(nwrites=nwrites, seed=seed, plan=plan)
-    return run_fault_recovery(
-        nwrites=nwrites, seed=seed,
-        media_error_p=0.10, latency_p=0.10, qp_reject_p=0.03,
-        power_cut=True, power_cut_at_ns=int(msec(2.0)),
-        restart_after_ns=int(msec(1.0)),
-    )
+    pressure = {"plan": plan} if plan is not None else {
+        "media_error_p": 0.10, "latency_p": 0.10, "qp_reject_p": 0.03,
+        "power_cut": True, "power_cut_at_ns": int(msec(2.0)),
+        "restart_after_ns": int(msec(1.0)),
+    }
+    return run_experiment(
+        EXPERIMENTS["faults"], base_seed=seed,
+        grid=[{"nwrites": nwrites, **pressure}]).rows[0]
 
 
 def _format(result: dict) -> str:

@@ -167,12 +167,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     # imported lazily: experiments pull in the whole system stack
-    from ..experiments.anatomy import run_phase_anatomy
+    from ..experiments.anatomy import PHASE_CONFIGS
+    from ..experiments.runner import EXPERIMENTS, run_experiment
 
-    results = run_phase_anatomy(
-        op=args.op, nops=args.nops, bs=args.bs, seed=args.seed
-    )
-    breakdowns = {k: v["breakdown"] for k, v in results.items()}
+    # the Fig 4 matrix: Lab-All, Lab-Min, Lab-D and the ext4 baseline
+    rows = run_experiment(
+        EXPERIMENTS["anatomy"], base_seed=args.seed, processes=1,
+        grid=[{"op": args.op, "nops": args.nops, "bs": args.bs, "config": c}
+              for c in PHASE_CONFIGS]).rows
+    breakdowns = {c: r["breakdown"] for c, r in zip(PHASE_CONFIGS, rows)}
     sections = []
     for config, bd in breakdowns.items():
         phase_sum = sum(p["total_ns"] for p in bd["phases"].values())

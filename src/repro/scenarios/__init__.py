@@ -6,7 +6,9 @@ Every named, known-good input this repo runs — determinism double runs
 entry of :data:`SCENARIOS`.  An entry carries a *serial* form (a
 :class:`Program`: ``build -> drive -> pause_point -> finish``, run by
 :func:`run_audited`), a *par* form (the ``nodes/build(world)/drivers/
-finish/reduce`` shape :func:`repro.sim.par.run_program` takes), or both.
+finish/reduce`` shape :func:`repro.sim.par.run_program` takes), or both;
+the paper's figures enter with a *point* form — one small member of each
+experiment's grid, run to completion under the same audit.
 
 Adding a scenario is one file in this package that ends in a
 :func:`register` call, plus its import below (import order is ``--list``
@@ -27,6 +29,7 @@ from . import (  # noqa: E402,F401 - imported for their register() calls
     control,
     upgrade_under_load,
     e14,
+    figures,
 )
 
 __all__ = [

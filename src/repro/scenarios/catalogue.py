@@ -57,10 +57,14 @@ class Scenario(NamedTuple):
     """One catalogue entry.  ``serial(seed=0)`` builds a :class:`Program`
     for :func:`repro.scenarios.run_audited`; ``par(seed)`` builds the
     ``nodes/build(world)/drivers/finish/reduce`` object
-    :func:`repro.sim.par.run_program` takes.  Either may be None."""
+    :func:`repro.sim.par.run_program` takes; ``point(env, seed=0)`` runs
+    start to finish on the audited Environment it is handed and returns
+    its result dict (no phases, so no pause point: the paper's figures).
+    Unused forms are None."""
 
     serial: Optional[Callable] = None
     par: Optional[Callable] = None
+    point: Optional[Callable] = None
 
 
 #: every runnable scenario, in registration (= ``--list``) order
@@ -75,5 +79,6 @@ def register(name: str, **forms: Callable) -> None:
 
 
 def names_with(form: str) -> list[str]:
-    """Catalogue names that have the given form (``"serial"``/``"par"``)."""
+    """Catalogue names that have the given form
+    (``"serial"``/``"par"``/``"point"``)."""
     return [n for n, s in SCENARIOS.items() if getattr(s, form) is not None]

@@ -83,28 +83,43 @@ class LiveRun:
         )
 
 
+def _audited_env(strict: bool) -> AuditRun:
+    """The prologue every digest starts from: identity counters rewound,
+    sanitizer and trace hasher attached to a fresh Environment."""
+    reset_global_counters()
+    audit = AuditRun(strict=strict)
+    audit.attach(Environment())
+    return audit
+
+
 def run_audited(program, *, strict: bool = True,
                 arm_at_ns: Optional[int] = None) -> LiveRun:
-    """Start ``program`` under audit: identity counters rewound, sanitizer
-    and trace hasher attached to a fresh Environment, system built, main
-    process started.  The returned :class:`LiveRun` has not advanced past
-    the build; ``finish()`` runs it out.
+    """Start ``program`` under audit: system built, main process started.
+    The returned :class:`LiveRun` has not advanced past the build;
+    ``finish()`` runs it out.
 
     ``arm_at_ns`` adds a second hasher covering only the event-stream
     *suffix* from that timestamp on — what a run restored at T and an
     unbroken run must agree on byte for byte.
     """
-    reset_global_counters()
-    audit = AuditRun(strict=strict)
-    env = audit.attach(Environment())
+    audit = _audited_env(strict)
     suffix = None
     if arm_at_ns is not None:
         suffix = TraceHasher(arm_at_ns=arm_at_ns)
-        env.tracer.add_sink(suffix)
-    ctx = program.build(env)
+        audit.env.tracer.add_sink(suffix)
+    ctx = program.build(audit.env)
     return LiveRun(program, audit, suffix, ctx, program.drive(ctx))
 
 
 def run_scenario(name: str, strict: bool = True) -> RunOutcome:
-    """Run the named scenario's serial form, seed 0, start to finish."""
-    return run_audited(SCENARIOS[name].serial(), strict=strict).finish()
+    """Run the named scenario's serial (else point) form, seed 0, start
+    to finish."""
+    entry = SCENARIOS[name]
+    if entry.serial is not None:
+        return run_audited(entry.serial(), strict=strict).finish()
+    audit = _audited_env(strict)
+    result = entry.point(audit.env)
+    report = audit.finish()
+    return RunOutcome(digest=audit.digest, suffix_digest=None, result=result,
+                      report=report, trace_events=audit.hasher.count,
+                      time_ns=audit.env.now)

@@ -39,6 +39,7 @@ __all__ = [
     "CounterScope",
     "reset_global_counters",
     "scenarios",
+    "UsageParser",
     "main",
 ]
 
@@ -198,15 +199,17 @@ def _shard_list(text: str) -> list[int]:
     return shards
 
 
-class _Parser(argparse.ArgumentParser):
+class UsageParser(argparse.ArgumentParser):
+    """A parser built with an explicit ``usage=`` whose every usage error
+    is one line on stderr and exit 2 (shared with the experiments CLI)."""
+
     def error(self, message: str):
-        """One line on stderr, exit 2."""
         self.exit(2, f"{message}; usage: {self.usage}\n")
 
 
 def _check_serial(name: str, strict: bool) -> bool:
-    """Run the serial form twice; the digests must match and neither run
-    may trip the sanitizer."""
+    """Run the serial (else point) form twice; the digests must match and
+    neither run may trip the sanitizer."""
     runs = [scenarios().run_scenario(name, strict=strict) for _ in range(2)]
     d1, d2 = (r.digest for r in runs)
     ok = d1 == d2 and not any(r.report["violations"] for r in runs)
@@ -238,7 +241,7 @@ def _check_shards(name: str, shards: list[int], seed: int) -> bool:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _Parser(
+    parser = UsageParser(
         prog="check", add_help=False,
         usage="check [--list] [--strict] [--shards 1,2,4 [--seed N]] [scenario ...]")
     parser.add_argument("names", nargs="*")
@@ -267,10 +270,10 @@ def main(argv: list[str] | None = None) -> int:
     for name in args.names or (catalogue if args.shards is None else par):
         if args.shards is not None:
             ok = _check_shards(name, args.shards, args.seed or 0)
-        elif catalogue[name].serial is not None:
+        elif name in par and catalogue[name].serial is None:
+            ok = _check_shards(name, [1, 1], 0)  # par-only: two shards=1 runs
+        else:
             ok = _check_serial(name, args.strict)
-        else:  # par-only: the double run is two shards=1 runs
-            ok = _check_shards(name, [1, 1], 0)
         failed |= not ok
     return 1 if failed else 0
 

@@ -117,10 +117,11 @@ def test_mount_unmount_stack_lifecycle():
 
 def test_filebench_pmem_same_trend_as_nvme():
     """Paper: 'The PMEM experiments return identical trends' (Fig 9d)."""
-    from repro.experiments.filebench_eval import run_filebench
+    from repro.experiments.runner import EXPERIMENTS, run_experiment
 
-    ext4 = run_filebench("ext4", "varmail", device="pmem", nthreads=4, loops=2)
-    lab = run_filebench("lab-min", "varmail", device="pmem", nthreads=4, loops=2)
+    ext4, lab = run_experiment(EXPERIMENTS["fig9c"], grid=[
+        {"config": config, "personality": "varmail", "device": "pmem",
+         "nthreads": 4, "loops": 2} for config in ("ext4", "lab-min")]).rows
     assert lab["kops_per_sec"] > ext4["kops_per_sec"]
 
 

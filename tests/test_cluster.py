@@ -659,15 +659,19 @@ def _rows_digest(rows) -> str:
     ).hexdigest()
 
 
+def _e14(grid, **kw):
+    from repro.experiments.runner import EXPERIMENTS, run_experiment
+
+    return run_experiment(EXPERIMENTS["cluster"], grid=grid, **kw).rows
+
+
 class TestClusterDeterminism:
     def test_e14_digest_identical_across_runs_and_process_counts(self):
-        from repro.experiments.cluster_scaling import sweep_cluster_scaling
-
-        kw = dict(node_counts=(1, 2), replica_counts=(1,),
-                  nclients=8, ops_per_client=6, base_seed=42)
-        serial_1 = sweep_cluster_scaling(processes=1, **kw)
-        serial_2 = sweep_cluster_scaling(processes=1, **kw)
-        parallel = sweep_cluster_scaling(processes=2, **kw)
+        grid = [{"nnodes": n, "replicas": 1, "nclients": 8, "ops_per_client": 6}
+                for n in (1, 2)]
+        serial_1 = _e14(grid, base_seed=42, processes=1)
+        serial_2 = _e14(grid, base_seed=42, processes=1)
+        parallel = _e14(grid, base_seed=42, processes=2)
         d = _rows_digest(serial_1)
         assert _rows_digest(serial_2) == d, "E14 not stable across runs"
         assert _rows_digest(parallel) == d, (
@@ -675,12 +679,9 @@ class TestClusterDeterminism:
         )
 
     def test_e14_throughput_scales_with_nodes(self):
-        from repro.experiments.cluster_scaling import run_cluster_scaling
-
-        one = run_cluster_scaling(nnodes=1, replicas=1, nclients=16,
-                                  ops_per_client=8, seed=0)
-        four = run_cluster_scaling(nnodes=4, replicas=1, nclients=16,
-                                   ops_per_client=8, seed=0)
+        one, four = _e14(
+            [{"nnodes": n, "replicas": 1, "nclients": 16, "ops_per_client": 8}
+             for n in (1, 4)], processes=1)
         assert four["kops_s"] >= 2.0 * one["kops_s"], (
             f"no scaling: 1 node {one['kops_s']:.1f} kops/s, "
             f"4 nodes {four['kops_s']:.1f} kops/s"
@@ -693,13 +694,11 @@ class TestClusterDeterminism:
         oracle for the shared placement: exact, not ">= 2x"."""
         from pathlib import Path
 
-        from repro.experiments.cluster_scaling import sweep_cluster_scaling
-
         committed = json.loads(
             (Path(__file__).parent.parent / "BENCH_cluster.json").read_text()
         )["rows"]
         keys = ("nnodes", "replicas", "elapsed_ms", "remote_calls", "fabric_MB")
-        rows = sweep_cluster_scaling(processes=1)
+        rows = _e14(None, processes=1)
         assert ([{k: r[k] for k in keys} for r in rows]
                 == [{k: r[k] for k in keys} for r in committed])
 
@@ -708,9 +707,10 @@ class TestClusterDeterminism:
 # PFS re-hosted on nodes
 # ----------------------------------------------------------------------
 def test_pfs_cluster_runs_on_genuine_nodes():
-    from repro.experiments.cluster_scaling import run_pfs_cluster
+    from repro.experiments.runner import EXPERIMENTS, run_experiment
 
-    row = run_pfs_cluster(ndata=2)
+    row, = run_experiment(EXPERIMENTS["pfs-cluster"], grid=[
+        {"ndata": 2, "nprocs": 2, "timesteps": 2, "particles_per_proc": 2048}]).rows
     assert row["fabric_messages"] > 0, "PFS never used the fabric"
     assert row["vpic_MBps"] > 0 and row["bdcats_MBps"] > 0
     assert row["metadata_ops"] > 0
@@ -718,8 +718,10 @@ def test_pfs_cluster_runs_on_genuine_nodes():
 
 def test_orangefs_default_transport_unchanged():
     """The transport seam must not move the standalone PFS numbers."""
-    from repro.experiments.pfs_eval import run_pfs
+    from repro.experiments.runner import EXPERIMENTS, run_experiment
 
-    a = run_pfs(mds_backend="ext4", data_device="nvme", ndata=2)
-    b = run_pfs(mds_backend="ext4", data_device="nvme", ndata=2)
+    point = {"mds_backend": "ext4", "data_device": "nvme", "ndata": 2,
+             "nprocs": 4, "timesteps": 4, "particles_per_proc": 4096}
+    a, b = run_experiment(EXPERIMENTS["fig9a"], grid=[point, point],
+                          processes=1).rows
     assert a == b

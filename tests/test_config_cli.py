@@ -126,6 +126,33 @@ class TestSharedReportCli:
                 mod.main(["--definitely-not-a-flag"])
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["fig66"], ["--lisst"], ["fig6", "--proceses", "1"]])
+    def test_experiments_cli_rejects_unknown_flags_and_names(self, capsys, argv):
+        """``python -m repro.experiments --lisst`` used to drop every
+        ``-``-prefixed word and run *every* figure for minutes."""
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no figure ran
+        assert captured.err.count("\n") == 1  # one line, no traceback
+        assert "usage: python -m repro.experiments" in captured.err
+
+    def test_experiments_cli_json_rows_are_the_artifacts_rows(self, capsys):
+        """One grid per figure: what the CLI runs is what is committed."""
+        from pathlib import Path
+
+        from repro.experiments.__main__ import main
+
+        assert main(["ablation-consistency", "--processes", "1", "--json", "-"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        committed = json.loads((Path(__file__).parent.parent
+                                / "BENCH_ablation_consistency.json").read_text())
+        assert printed["rows"] == committed["rows"]
+        assert printed["host"]["points"] == 3 and printed["host"]["events"] > 0
+
     def test_check_rejects_seed_without_shards(self, capsys):
         """``check kvs --seed 3`` used to run seed 0 without a word: the
         serial scenarios take no seed, only ``--shards`` mode does."""

@@ -246,11 +246,17 @@ class TestNoOpSafety:
 # ---------------------------------------------------------------------------
 # E15 oracle regression
 # ---------------------------------------------------------------------------
+def _e15(limits, processes):
+    from repro.experiments.runner import EXPERIMENTS, run_experiment
+
+    grid = [{"mode": "static", "limit": lim} for lim in limits]
+    return run_experiment(EXPERIMENTS["control"], grid=grid + [{"mode": "controller"}],
+                          base_seed=0, processes=processes).result()
+
+
 class TestControlPlane:
     def test_controller_beats_static_and_nears_oracle(self):
-        from repro.experiments.control_plane import sweep_control_plane
-
-        r = sweep_control_plane(limits=(4, 32), seed=0, processes=1)
+        r = _e15(limits=(4, 32), processes=1)
         assert r["beats_static"], (
             f"controller {r['controller_total']} <= "
             f"static-best {r['static_best_total']}")
@@ -258,11 +264,7 @@ class TestControlPlane:
             f"controller at {r['vs_oracle']:.0%} of oracle")
 
     def test_sweep_identical_across_process_counts(self):
-        from repro.experiments.control_plane import sweep_control_plane
-
-        r1 = sweep_control_plane(limits=(4,), seed=0, processes=1)
-        r2 = sweep_control_plane(limits=(4,), seed=0, processes=2)
-        assert r1 == r2
+        assert _e15(limits=(4,), processes=1) == _e15(limits=(4,), processes=2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,30 +1,36 @@
 """Shape tests for every experiment harness (scaled-down parameters).
 
 Each test asserts the *qualitative* result the paper reports — who wins,
-roughly by how much, where the crossovers are — using small workloads so
-the suite stays fast.  The full-scale sweeps live in benchmarks/.
+roughly by how much, where the crossovers are — on an explicit, reduced
+grid through the one figure runner, so the suite stays fast.  The
+committed full-scale grids run in benchmarks/test_bench_figures.py.
 """
 
-import pytest
-
-from repro.experiments import (
-    anatomy,
-    filebench_eval,
-    labios_eval,
-    live_upgrade,
-    metadata,
-    orchestration_cpu,
-    orchestration_partition,
-    pfs_eval,
-    schedulers,
-    storage_api,
-)
 from repro.experiments.report import format_table, normalize
+from repro.experiments.runner import EXPERIMENTS, run_experiment
+from repro.units import MiB
+
+
+def run(name, grid):
+    return run_experiment(EXPERIMENTS[name], grid=grid, processes=1)
+
+
+def point(name, **params):
+    return run(name, [params]).rows[0]
+
+
+def shrunk(name, keep=lambda p: True, **override):
+    """The figure's committed grid, filtered and scaled down."""
+    return [{**p, **override} for p in EXPERIMENTS[name].grid if keep(p)]
 
 
 # --- E1: anatomy ----------------------------------------------------------
+def anatomy(op, nops):
+    return point("anatomy", op=op, nops=nops, bs=4096, config="lab-all")
+
+
 def test_anatomy_write_fractions_match_paper_shape():
-    r = anatomy.run_anatomy("write", nops=32)
+    r = anatomy("write", nops=32)
     f = r["fractions"]
     # device I/O dominates (paper ~66%)
     assert 0.45 < f["Device I/O"] < 0.80
@@ -41,40 +47,40 @@ def test_anatomy_write_fractions_match_paper_shape():
 
 
 def test_anatomy_read_similar_to_write():
-    r = anatomy.run_anatomy("read", nops=32)
+    r = anatomy("read", nops=32)
     assert 0.40 < r["fractions"]["Device I/O"] < 0.80
 
 
 def test_anatomy_formatting():
-    r = anatomy.run_anatomy("write", nops=8)
-    text = anatomy.format_anatomy(r)
+    text = run("anatomy", shrunk("anatomy", nops=8)).table()
     assert "Device I/O" in text and "Fig 4(a)" in text
 
 
 # --- E2: live upgrade --------------------------------------------------------
+def live_upgrade(nmessages, nupgrades, upgrade_type="centralized"):
+    return point("table1", nmessages=nmessages, nupgrades=nupgrades,
+                 upgrade_type=upgrade_type)
+
+
 def test_live_upgrade_cost_approx_5ms_each():
-    base = live_upgrade.run_live_upgrade(nmessages=800, nupgrades=0)
-    with_up = live_upgrade.run_live_upgrade(nmessages=800, nupgrades=8)
+    base = live_upgrade(nmessages=800, nupgrades=0)
+    with_up = live_upgrade(nmessages=800, nupgrades=8)
     per_upgrade_ms = (with_up["elapsed_s"] - base["elapsed_s"]) * 1000 / 8
     assert 2.0 < per_upgrade_ms < 10.0  # paper: ~5ms
     assert with_up["upgrades_done"] == 8
 
 
 def test_live_upgrade_decentralized_slower():
-    cen = live_upgrade.run_live_upgrade(nmessages=600, nupgrades=8)
-    dec = live_upgrade.run_live_upgrade(nmessages=600, nupgrades=8,
-                                        upgrade_type="decentralized")
+    cen = live_upgrade(nmessages=600, nupgrades=8)
+    dec = live_upgrade(nmessages=600, nupgrades=8, upgrade_type="decentralized")
     assert dec["elapsed_s"] > cen["elapsed_s"]
 
 
 # --- E3: orchestration CPU ---------------------------------------------------
 def test_single_worker_saturates_dynamic_tracks():
-    one = orchestration_cpu.run_orchestration_cpu(nclients=8, workers="1worker",
-                                                  ops_per_client=300)
-    eight = orchestration_cpu.run_orchestration_cpu(nclients=8, workers="8workers",
-                                                    ops_per_client=300)
-    dyn = orchestration_cpu.run_orchestration_cpu(nclients=8, workers="dynamic",
-                                                  ops_per_client=300)
+    one, eight, dyn = run("fig5a", [
+        {"nclients": 8, "workers": workers, "ops_per_client": 300}
+        for workers in ("1worker", "8workers", "dynamic")]).rows
     # paper: 1 worker loses ~50% vs 8 workers at high client counts
     assert one["iops"] < 0.6 * eight["iops"]
     # dynamic uses clearly fewer cores than the 8-worker config
@@ -84,13 +90,14 @@ def test_single_worker_saturates_dynamic_tracks():
 
 
 # --- E4: partitioning ---------------------------------------------------------
+def partition(nworkers, policy, creates_per_thread):
+    return point("fig5b", nworkers=nworkers, policy=policy, write_size=2 * MiB,
+                 creates_per_thread=creates_per_thread, writes_per_thread=3)
+
+
 def test_dynamic_partitioning_protects_latency():
-    rr = orchestration_partition.run_partition(nworkers=4, policy="rr",
-                                               creates_per_thread=60,
-                                               writes_per_thread=3)
-    dyn = orchestration_partition.run_partition(nworkers=4, policy="dynamic",
-                                                creates_per_thread=60,
-                                                writes_per_thread=3)
+    rr = partition(4, "rr", creates_per_thread=60)
+    dyn = partition(4, "dynamic", creates_per_thread=60)
     # paper: RR destroys L-App tail latency; dynamic restores it
     assert dyn["l_lat_p99_us"] < rr["l_lat_p99_us"] / 5
     # at a bandwidth cost
@@ -99,20 +106,21 @@ def test_dynamic_partitioning_protects_latency():
 
 def test_partition_bandwidth_cost_shrinks_with_workers():
     def cost(n):
-        rr = orchestration_partition.run_partition(nworkers=n, policy="rr",
-                                                   creates_per_thread=40,
-                                                   writes_per_thread=3)
-        dyn = orchestration_partition.run_partition(nworkers=n, policy="dynamic",
-                                                    creates_per_thread=40,
-                                                    writes_per_thread=3)
+        rr = partition(n, "rr", creates_per_thread=40)
+        dyn = partition(n, "dynamic", creates_per_thread=40)
         return 1 - dyn["c_bw_MBps"] / rr["c_bw_MBps"]
 
     assert cost(8) < cost(2)  # paper: 30% -> 6%
 
 
 # --- E5: storage APIs ----------------------------------------------------------
+def storage_api(device, bs, nops):
+    return run("fig6", shrunk(
+        "fig6", lambda p: p["device"] == device and p["bs"] == bs, nops=nops)).rows
+
+
 def test_storage_api_nvme_ordering():
-    rows = storage_api.sweep_storage_api(devices=("nvme",), sizes=(4096,), nops=120)
+    rows = storage_api("nvme", 4096, nops=120)
     iops = {r["interface"]: r["iops"] for r in rows}
     # paper Fig 6 ordering on NVMe 4KB
     assert iops["lab_spdk"] > iops["lab_kernel_driver"] > iops["io_uring"]
@@ -124,8 +132,8 @@ def test_storage_api_nvme_ordering():
 
 
 def test_storage_api_gap_collapses_at_128k():
-    small = storage_api.sweep_storage_api(devices=("nvme",), sizes=(4096,), nops=100)
-    large = storage_api.sweep_storage_api(devices=("nvme",), sizes=(128 * 1024,), nops=100)
+    small = storage_api("nvme", 4096, nops=100)
+    large = storage_api("nvme", 128 * 1024, nops=100)
 
     def spread(rows):
         n = normalize({r["interface"]: r["iops"] for r in rows})
@@ -135,13 +143,13 @@ def test_storage_api_gap_collapses_at_128k():
 
 
 def test_storage_api_hdd_ties():
-    rows = storage_api.sweep_storage_api(devices=("hdd",), sizes=(4096,), hdd_nops=25)
+    rows = storage_api("hdd", 4096, nops=25)
     norm = normalize({r["interface"]: r["iops"] for r in rows})
     assert min(norm.values()) > 0.95  # seek-dominated: everything ties
 
 
 def test_storage_api_dax_dominates_pmem():
-    rows = storage_api.sweep_storage_api(devices=("pmem",), sizes=(4096,), nops=120)
+    rows = storage_api("pmem", 4096, nops=120)
     iops = {r["interface"]: r["iops"] for r in rows}
     assert iops["lab_dax"] > 2 * iops["lab_kernel_driver"]
     assert iops["lab_dax"] > 5 * iops["posix"]
@@ -149,8 +157,10 @@ def test_storage_api_dax_dominates_pmem():
 
 # --- E6: metadata -------------------------------------------------------------
 def test_metadata_labfs_beats_kernel_and_scales():
-    rows = metadata.sweep_metadata(thread_counts=(1, 8), files_per_thread=30,
-                                   configs=("ext4", "labfs-all", "labfs-min", "labfs-d"))
+    rows = run("fig7", [
+        {"config": config, "nthreads": n, "files_per_thread": 30}
+        for config in ("ext4", "labfs-all", "labfs-min", "labfs-d")
+        for n in (1, 8)]).rows
     by = {(r["config"], r["nthreads"]): r["kops_per_sec"] for r in rows}
     # paper: LabFS up to ~3x single-threaded
     assert by[("labfs-all", 1)] > 1.8 * by[("ext4", 1)]
@@ -164,11 +174,11 @@ def test_metadata_labfs_beats_kernel_and_scales():
 
 # --- E7: schedulers -----------------------------------------------------------
 def test_schedulers_hol_blocking_and_blkswitch_rescue():
-    iso = schedulers.run_schedulers("linux-noop", colocated=False, l_nops=60, t_nops=50)
-    noop = schedulers.run_schedulers("linux-noop", colocated=True, l_nops=60, t_nops=50)
-    blk = schedulers.run_schedulers("linux-blk", colocated=True, l_nops=60, t_nops=50)
-    lab_noop = schedulers.run_schedulers("lab-noop", colocated=True, l_nops=60, t_nops=50)
-    lab_blk = schedulers.run_schedulers("lab-blk", colocated=True, l_nops=60, t_nops=50)
+    iso, noop, blk, lab_noop, lab_blk = run("fig8", [
+        {"scheduler": sched, "colocated": colocated, "l_nops": 60, "t_nops": 50}
+        for sched, colocated in (("linux-noop", False), ("linux-noop", True),
+                                 ("linux-blk", True), ("lab-noop", True),
+                                 ("lab-blk", True))]).rows
     # colocation destroys noop's tail latency (paper: 110us -> 945us mean)
     assert noop["l_lat_p99_us"] > 5 * iso["l_lat_p99_us"]
     # blk-switch restores QoS
@@ -178,13 +188,11 @@ def test_schedulers_hol_blocking_and_blkswitch_rescue():
 
 # --- E8: PFS ------------------------------------------------------------------
 def test_pfs_gain_grows_with_device_speed():
-    from repro.workloads.vpic import VpicConfig
-
-    cfg = VpicConfig(nprocs=4, timesteps=2, particles_per_proc=2048)
-
     def gain(device):
-        ext4 = pfs_eval.run_pfs(mds_backend="ext4", data_device=device, cfg=cfg)
-        lab = pfs_eval.run_pfs(mds_backend="labfs-min", data_device=device, cfg=cfg)
+        ext4, lab = run("fig9a", [
+            {"mds_backend": backend, "data_device": device, "ndata": 4,
+             "nprocs": 4, "timesteps": 2, "particles_per_proc": 2048}
+            for backend in ("ext4", "labfs-min")]).rows
         return ext4["vpic_s"] / lab["vpic_s"] - 1
 
     g_hdd = gain("hdd")
@@ -195,7 +203,8 @@ def test_pfs_gain_grows_with_device_speed():
 
 # --- E9: LABIOS -----------------------------------------------------------------
 def test_labios_kvs_beats_filesystems():
-    rows = labios_eval.sweep_labios(devices=("nvme",), nlabels=80)
+    rows = run("fig9b", shrunk("fig9b", lambda p: p["device"] == "nvme",
+                               nlabels=80)).rows
     mbps = {r["backend"]: r["MBps"] for r in rows}
     best_fs = max(mbps["ext4"], mbps["xfs"], mbps["f2fs"])
     # paper: filesystems degrade >= 12% vs LabKVS
@@ -208,9 +217,9 @@ def test_labios_kvs_beats_filesystems():
 def test_filebench_lab_wins_metadata_workloads():
     # 4 threads: enough concurrency for the kernel journal contention the
     # paper's 16-thread runs exhibit
-    rows = filebench_eval.sweep_filebench(
-        personalities=("varmail", "webproxy"), nthreads=4, loops=3
-    )
+    rows = run("fig9c", shrunk(
+        "fig9c", lambda p: p["personality"] in ("varmail", "webproxy"),
+        nthreads=4, loops=3)).rows
     by = {(r["config"], r["personality"]): r["kops_per_sec"] for r in rows}
     for wl in ("varmail", "webproxy"):
         best_kernel = max(by[(fs, wl)] for fs in ("ext4", "xfs", "f2fs"))
@@ -218,9 +227,10 @@ def test_filebench_lab_wins_metadata_workloads():
 
 
 def test_filebench_fileserver_is_the_exception():
-    rows = filebench_eval.sweep_filebench(
-        personalities=("fileserver",), configs=("ext4", "lab-min"), nthreads=2, loops=3
-    )
+    rows = run("fig9c", shrunk(
+        "fig9c", lambda p: (p["personality"] == "fileserver"
+                            and p["config"] in ("ext4", "lab-min")),
+        nthreads=2, loops=3)).rows
     by = {r["config"]: r["kops_per_sec"] for r in rows}
     # bandwidth-bound: LabFS does not win here (paper: parity/exception)
     assert by["lab-min"] < 1.2 * by["ext4"]

@@ -25,19 +25,17 @@ PAR = names_with("par")
 @pytest.mark.parametrize("scenario", PAR)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_merged_digest_shard_invariant(scenario, seed):
-    digests = {}
-    events = {}
-    for shards in (1, 2, 4):
-        res = run_program(SCENARIOS[scenario].par(seed), shards=shards,
-                          trace=True)
-        digests[shards] = res.digest
-        events[shards] = res.merged_events
-    assert events[1] > 0, "scenario produced no trace events"
-    assert events[2] == events[1] and events[4] == events[1]
-    assert digests[2] == digests[1], (
-        f"{scenario} seed={seed}: shards=2 digest diverged from serial")
-    assert digests[4] == digests[1], (
-        f"{scenario} seed={seed}: shards=4 digest diverged from serial")
+    # every seed at shards 1/2; shards=4 (the slowest run) at seed 0 only
+    runs = {
+        shards: run_program(SCENARIOS[scenario].par(seed), shards=shards, trace=True)
+        for shards in ((1, 2, 4) if seed == 0 else (1, 2))
+    }
+    base = runs.pop(1)
+    assert base.merged_events > 0, "scenario produced no trace events"
+    for shards, res in runs.items():
+        assert res.merged_events == base.merged_events
+        assert res.digest == base.digest, (
+            f"{scenario} seed={seed}: shards={shards} digest diverged from serial")
 
 
 def test_power_cut_nacks_across_barrier():

@@ -53,6 +53,26 @@ def test_daemon_process_waits_are_not_leaks():
     assert san.finish()["violations"] == []
 
 
+def test_idle_device_dispatch_loops_are_not_leaks():
+    """A kernel-baseline environment has no Runtime pollers, so its heap
+    runs dry; the parked per-hctx dispatch loops are service daemons, not
+    processes somebody forgot to wake."""
+    from repro.devices.profiles import make_device
+    from repro.kernel import make_filesystem
+
+    env = Environment()
+    san = Sanitizer(strict=False).install(env)
+    fs = make_filesystem("ext4", env, make_device(env, "nvme"))
+
+    def go():
+        fd = yield env.process(fs.open("/f", create=True))
+        yield env.process(fs.write(fd, b"x" * 4096, offset=0))
+        yield env.process(fs.fsync(fd))
+
+    env.run(env.process(go()))
+    assert san.finish()["violations"] == []
+
+
 def test_swallowed_failure_detected_at_teardown():
     env = Environment()
     san = Sanitizer(strict=False).install(env)

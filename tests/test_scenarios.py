@@ -26,7 +26,8 @@ EXPECT = {
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_every_scenario_is_deterministic(name):
     entry = SCENARIOS[name]
-    if entry.serial is None:  # par-only: the double run is two shards=1 runs
+    if entry.serial is None and entry.point is None:
+        # par-only: the double run is two shards=1 runs
         a, b = (run_program(entry.par(0), shards=1, trace=True) for _ in range(2))
         assert a.digest == b.digest
         assert a.merged_events == b.merged_events > 0
@@ -43,8 +44,15 @@ def test_catalogue_has_every_known_scenario():
     assert list(SCENARIOS) == [
         "quickstart", "orchestration", "kvs", "faults", "batching",
         "openloop", "cluster", "control", "upgrade_under_load", "e14",
+        # the paper's figures: each experiment's smoke point
+        "anatomy", "table1", "fig5a", "fig5b", "fig6", "fig7", "fig8",
+        "fig9a", "fig9b", "fig9c", "ablation-allocator", "ablation-ipc-cost",
+        "ablation-exec-mode", "ablation-consistency", "ablation-cache-capacity",
     ]
-    assert all(s.serial or s.par for s in SCENARIOS.values())
+    assert all(s.serial or s.par or s.point for s in SCENARIOS.values())
+    # a point form has no pause point: the snapshot tests' serial list is
+    # the ten extension scenarios' nine, untouched
+    assert not any(s.point and (s.serial or s.par) for s in SCENARIOS.values())
 
 
 def test_serial_and_merged_digests_share_one_canonical_line():
