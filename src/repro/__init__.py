@@ -19,4 +19,4 @@ from .units import GiB, KiB, MiB, msec, sec, usec
 
 __version__ = "1.0.0"
 
-__all__ = ["ReproError", "KiB", "MiB", "GiB", "usec", "msec", "sec", "__version__"]
+__all__ = ["ReproError", "KiB", "MiB", "GiB", "usec", "msec", "sec"]

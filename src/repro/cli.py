@@ -1,8 +1,8 @@
 """Shared report-CLI plumbing: one table/JSON/CSV output seam.
 
-Every report CLI (:mod:`repro.obs.report`, :mod:`repro.faults.report`,
-:mod:`repro.traffic.report`) accepts the same output flags and exit
-codes, wired through :func:`add_output_flags` + :func:`emit`:
+Every report CLI (``python -m repro report <kind>``, see
+:mod:`repro.__main__`) and the experiments CLI accept the same output
+flags and exit codes, wired through :func:`add_output_flags` + :func:`emit`:
 
 ``--json [PATH]``
     Serialize the report's data to JSON.  With a ``PATH`` the JSON is
@@ -21,7 +21,7 @@ callers see identical codes.
 
 The serializers themselves live in :mod:`repro.experiments.report`
 (``results_to_json`` / ``rows_to_csv``); this module only owns flag
-wiring and output routing so the three CLIs cannot drift apart again.
+wiring and output routing so the CLIs cannot drift apart again.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from typing import Any, Sequence
 
 from .experiments.report import results_to_json, rows_to_csv
 
-__all__ = ["EXIT_OK", "EXIT_USAGE", "STDOUT", "Report", "add_output_flags", "emit"]
+__all__ = ["EXIT_OK", "Report", "add_output_flags", "emit"]
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 
 #: sentinel PATH value meaning "print to stdout" (bare ``--json`` /
 #: ``--csv`` resolve to it via ``const``)

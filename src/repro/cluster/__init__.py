@@ -37,33 +37,23 @@ Quickstart::
     cl.shutdown()
 """
 
-from .builder import Cluster, ClusterBuilder, ClusterSpec, cluster
-from .fabric import (
-    DEFAULT_FABRIC_COST,
-    FabricCost,
-    FabricLink,
-    FabricTransport,
-    NetworkFabric,
-)
-from .kvs import FAILOVER_ERRORS, HashRing, ShardedKVS
-from .node import ClusterClient, Node
+from .builder import Cluster, ClusterSpec, cluster
+from .fabric import FabricCost, FabricLink, FabricTransport, NetworkFabric
+from .kvs import HashRing, ShardedKVS
+from .node import Node
 from .routing import RemoteRoute, RouteExecutor
 
 __all__ = [
     "Cluster",
-    "ClusterBuilder",
     "ClusterSpec",
     "cluster",
     "Node",
-    "ClusterClient",
     "NetworkFabric",
     "FabricLink",
     "FabricCost",
     "FabricTransport",
-    "DEFAULT_FABRIC_COST",
     "RemoteRoute",
     "RouteExecutor",
     "HashRing",
     "ShardedKVS",
-    "FAILOVER_ERRORS",
 ]

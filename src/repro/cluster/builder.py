@@ -59,8 +59,7 @@ from .kvs import HashRing, ShardedKVS
 from .node import ClusterClient, Node
 from .routing import RemoteRoute, join_pair
 
-__all__ = ["StackDecl", "NodeDecl", "LinkDecl", "ClusterSpec", "Cluster",
-           "ClusterBuilder", "cluster"]
+__all__ = ["NodeDecl", "ClusterSpec", "Cluster", "cluster"]
 
 
 # ----------------------------------------------------------------------

@@ -23,8 +23,7 @@ from dataclasses import dataclass, replace
 from ..errors import FabricError
 from ..sim import Environment, Resource
 
-__all__ = ["FabricCost", "FabricLink", "NetworkFabric", "FabricTransport",
-           "DEFAULT_FABRIC_COST"]
+__all__ = ["FabricCost", "FabricLink", "NetworkFabric", "FabricTransport"]
 
 
 @dataclass(frozen=True)

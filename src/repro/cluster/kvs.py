@@ -63,7 +63,7 @@ from ..sim import Interrupt
 if TYPE_CHECKING:  # pragma: no cover
     from .node import ClusterClient
 
-__all__ = ["HashRing", "ShardedKVS", "FAILOVER_ERRORS"]
+__all__ = ["HashRing", "ShardedKVS"]
 
 #: replica errors a fan-out absorbs and fails over from; anything else
 #: (assertion-grade bugs, bad arguments) propagates immediately

@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..faults import FaultEngine, FaultPlan
     from .builder import Cluster
 
-__all__ = ["Node", "ClusterClient"]
+__all__ = ["Node"]
 
 
 class Node:

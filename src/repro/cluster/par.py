@@ -25,8 +25,10 @@ from ..units import msec
 from .builder import Cluster, ClusterSpec
 
 __all__ = [
-    "SpecParProgram", "CallbackParProgram", "ParHandle",
-    "assert_nic_conservation", "kvs_closed_loop",
+    "SpecParProgram",
+    "ParHandle",
+    "assert_nic_conservation",
+    "kvs_closed_loop",
 ]
 
 

@@ -4,13 +4,13 @@ from .client import LabStorClient
 from .komgr import KernelOpsManager, KthreadState
 from .labmod import ExecContext, LabMod, ModContext
 from .labstack import LabStack, NodeSpec, StackRules, StackSpec
-from .module_manager import ModuleManager, UpgradeRequest
+from .module_manager import UpgradeRequest
 from .namespace import StackNamespace
-from .orchestrator import DynamicPolicy, OrchestratorPolicy, RoundRobinPolicy, WorkOrchestrator
+from .orchestrator import DynamicPolicy, RoundRobinPolicy, WorkOrchestrator
 from .registry import ModuleRegistry
 from .requests import LabRequest
 from .runtime import LabStorRuntime, RuntimeConfig
-from .spec import SpecParseError, dump_spec, parse_spec
+from .spec import SpecParseError, parse_spec
 from .workers import Worker
 
 __all__ = [
@@ -26,10 +26,8 @@ __all__ = [
     "StackNamespace",
     "Worker",
     "WorkOrchestrator",
-    "OrchestratorPolicy",
     "RoundRobinPolicy",
     "DynamicPolicy",
-    "ModuleManager",
     "UpgradeRequest",
     "KernelOpsManager",
     "KthreadState",
@@ -37,6 +35,5 @@ __all__ = [
     "RuntimeConfig",
     "LabStorClient",
     "parse_spec",
-    "dump_spec",
     "SpecParseError",
 ]

@@ -113,13 +113,6 @@ class LabStorClient:
     def release_fd(self, fd: int) -> None:
         self.fd_table.pop(fd, None)
 
-    def stack_for_fd(self, fd: int) -> LabStack:
-        try:
-            stack_id = self.fd_table[fd]
-        except KeyError:
-            raise LabStorError(f"client {self.pid}: unknown fd {fd}") from None
-        return self.runtime.namespace.get_by_id(stack_id)
-
     # ------------------------------------------------------------------
     def call(self, stack: LabStack, req: LabRequest, timeout_ns: int | None = None):
         """Process generator: execute ``req`` against ``stack`` and return

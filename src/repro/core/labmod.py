@@ -170,9 +170,6 @@ class LabMod(abc.ABC):
                 result = yield from nxt.handle(req, x)
         return result
 
-    def accepts_op(self, op: str) -> bool:
-        return any(p == "*" or op.startswith(p) for p in self.accepts)
-
     # ------------------------------------------------------------------
     # upgrade / recovery / monitoring APIs (Section III-A)
     # ------------------------------------------------------------------

@@ -36,7 +36,7 @@ from ..units import usec
 from .labmod import LabMod
 from .registry import ModuleRegistry
 
-__all__ = ["UpgradeRequest", "ModuleManager"]
+__all__ = ["UpgradeRequest"]
 
 # module image is read in chunks of this size
 _CHUNK = 128 * 1024

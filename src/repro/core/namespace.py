@@ -37,9 +37,6 @@ class StackNamespace:
         except KeyError:
             raise LabStorError(f"no stack with id {stack_id}") from None
 
-    def get_by_mount(self, mount: str) -> LabStack | None:
-        return self._by_mount.get(mount)
-
     def resolve(self, path: str) -> tuple[LabStack, str]:
         """Longest-prefix match: returns (stack, path remainder).
 

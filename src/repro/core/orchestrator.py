@@ -27,7 +27,7 @@ from ..sim import Environment, Interrupt
 from ..units import msec
 from .workers import Worker
 
-__all__ = ["OrchestratorPolicy", "RoundRobinPolicy", "DynamicPolicy", "WorkOrchestrator"]
+__all__ = ["RoundRobinPolicy", "DynamicPolicy", "WorkOrchestrator"]
 
 
 def _lpt_partition(queues: list[QueuePair], nbins: int) -> list[list[QueuePair]]:

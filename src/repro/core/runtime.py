@@ -8,7 +8,7 @@ crash/restart machinery of Section III-C3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..devices.base import BlockDevice
@@ -56,12 +56,6 @@ class RuntimeConfig:
         if self.policy == "dynamic":
             return DynamicPolicy()
         raise LabStorError(f"unknown orchestration policy {self.policy!r}")
-
-    @classmethod
-    def from_yaml(cls, text: str) -> "RuntimeConfig":
-        d = parse_spec(text) or {}
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known})
 
 
 class LabStorRuntime:

@@ -16,7 +16,7 @@ from typing import Any
 
 from ..errors import LabStorError
 
-__all__ = ["parse_spec", "dump_spec", "SpecParseError"]
+__all__ = ["parse_spec", "SpecParseError"]
 
 
 class SpecParseError(LabStorError):
@@ -164,47 +164,3 @@ def parse_spec(text: str) -> Any:
     if pos != len(lines):
         raise SpecParseError(lines[pos].lineno, "trailing content outside the root block")
     return value
-
-
-def dump_spec(value: Any, indent: int = 0) -> str:
-    """Serialize dicts/lists/scalars back to the YAML subset."""
-    pad = " " * indent
-    if isinstance(value, dict):
-        out = []
-        for k, v in value.items():
-            if isinstance(v, (dict, list)) and v:
-                out.append(f"{pad}{k}:")
-                out.append(dump_spec(v, indent + 2))
-            else:
-                out.append(f"{pad}{k}: {_dump_scalar(v)}")
-        return "\n".join(out)
-    if isinstance(value, list):
-        out = []
-        for item in value:
-            if isinstance(item, dict) and item:
-                # a block mapping under a bare dash round-trips unambiguously
-                out.append(f"{pad}-")
-                out.append(dump_spec(item, indent + 2))
-            else:
-                out.append(f"{pad}- {_dump_scalar(item)}")
-        return "\n".join(out)
-    return f"{pad}{_dump_scalar(value)}"
-
-
-def _dump_scalar(v: Any) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, dict):
-        if v:
-            raise LabStorError("non-empty dict cannot be dumped inline")
-        return "{}"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, float)):
-        return str(v)
-    if isinstance(v, list):
-        return "[" + ", ".join(_dump_scalar(x) for x in v) + "]"
-    text = str(v)
-    if any(c in text for c in ":#[]{},") or text != text.strip():
-        return f'"{text}"'
-    return text

@@ -12,63 +12,35 @@ chaos.  The loop, every ``interval_ns`` of virtual time:
    device stall, queue saturation, SLO burn) produce ok/warn/crit
    verdicts;
 3. **actuate** — typed :class:`Controller`\\ s drive the declared
-   :class:`Actuators` seams (worker counts, batch plug window, cache
-   size, admission limits and per-tenant quotas, retry budgets, runtime
-   restart), hysteresis-gated against flapping.
+   :class:`Actuators` seams (worker counts, admission limit, retry
+   budgets, runtime restart), hysteresis-gated against flapping.
 
 Determinism rules for adaptive policies: controllers draw randomness
 only from the daemon's seeded ``"ctl"`` RNG stream and touch the system
 only through the actuator seams; the ``"control"`` scenario of
 ``python -m repro.sim.check`` holds the whole loop to byte-identical
-replay.  CLI: ``python -m repro.ctl.report``.  Experiment: E15
+replay.  CLI: ``python -m repro report ctl``.  Experiment: E15
 (``repro.experiments.control_plane``, controller vs static-best vs
 oracle on a shifting mix).
 """
 
-from .actuators import ActuatorAction, Actuators
-from .controllers import (
-    AdmissionController,
-    BatchTuneController,
-    CacheSizeController,
-    Controller,
-    RetryTuneController,
-    SelfHealController,
-    WorkerScaleController,
-)
-from .daemon import ControlContext, ControlDaemon, TickRecord
-from .health import (
-    DeviceStall,
-    Health,
-    HealthCheck,
-    QueueSaturation,
-    SloBurn,
-    WorkerLiveness,
-)
-from .presets import build_chaos_control, chaos_plan, chaos_tenant
+from .actuators import Actuators
+from .controllers import AdmissionController, SelfHealController
+from .daemon import ControlDaemon
+from .health import DeviceStall, Health, QueueSaturation, SloBurn
+from .presets import build_chaos_control
 from .view import MetricsView, MetricsWindow
 
 __all__ = [
     "MetricsView",
     "MetricsWindow",
     "Health",
-    "HealthCheck",
-    "WorkerLiveness",
     "DeviceStall",
     "QueueSaturation",
     "SloBurn",
-    "ActuatorAction",
     "Actuators",
-    "Controller",
     "SelfHealController",
     "AdmissionController",
-    "WorkerScaleController",
-    "RetryTuneController",
-    "BatchTuneController",
-    "CacheSizeController",
-    "ControlContext",
     "ControlDaemon",
-    "TickRecord",
     "build_chaos_control",
-    "chaos_plan",
-    "chaos_tenant",
 ]

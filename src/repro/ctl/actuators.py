@@ -19,10 +19,7 @@ Seams (all no-ops when the new value equals the current one):
 ``heal_workers``        respawn crashed workers (``auto_respawn`` off)
 ``restart_runtime``     bring a power-cut Runtime back (urgent, idempotent)
 ``rebalance``           force a queue→worker rebalance
-``set_batch_params``    BatchSchedMod plug ``window_ns`` / ``batch_max``
-``set_cache_capacity``  LruCacheMod ``capacity_pages``
 ``set_admission_limit`` engine-wide ``QueueDepthAdmission.max_inflight``
-``set_tenant_quota``    per-tenant ``TenantQuotaAdmission`` quota
 ``set_retry``           bound retry policy's attempts/backoff/timeout
 ======================  ====================================================
 """
@@ -34,7 +31,7 @@ from typing import Any, Callable, Optional
 
 from ..errors import LabStorError
 
-__all__ = ["ActuatorAction", "Actuators"]
+__all__ = ["Actuators"]
 
 
 @dataclass(frozen=True)
@@ -190,59 +187,6 @@ class Actuators:
                            orch.rebalance)
 
     # ------------------------------------------------------------------
-    # LabMod knobs
-    # ------------------------------------------------------------------
-    def _mods_of(self, cls) -> list:
-        registry = self.runtime.registry
-        return [m for m in (registry.get(u) for u in registry.uuids())
-                if isinstance(m, cls)]
-
-    def batch_mods(self) -> list:
-        from ..mods.sched_batch import BatchSchedMod
-
-        return self._mods_of(BatchSchedMod)
-
-    def cache_mods(self) -> list:
-        from ..mods.cache_lru import LruCacheMod
-
-        return self._mods_of(LruCacheMod)
-
-    def set_batch_params(self, *, window_ns: int | None = None,
-                         batch_max: int | None = None, reason: str,
-                         urgent: bool = False) -> bool:
-        """Retune every mounted BatchSchedMod's plug window / merge cap
-        (E12: the optimum is workload-dependent)."""
-        if window_ns is None and batch_max is None:
-            raise LabStorError("set_batch_params: nothing to set")
-        changed = False
-        for mod in self.batch_mods():
-            old = (mod.window_ns, mod.batch_max)
-            new = (window_ns if window_ns is not None else mod.window_ns,
-                   max(1, batch_max) if batch_max is not None else mod.batch_max)
-
-            def set_it(mod=mod, new=new) -> None:
-                mod.window_ns, mod.batch_max = new
-
-            changed |= self._apply(f"batch:{mod.uuid}", old, new, reason,
-                                   urgent, set_it)
-        return changed
-
-    def set_cache_capacity(self, pages: int, *, reason: str,
-                           urgent: bool = False) -> bool:
-        """Resize every mounted LRU cache (pages evict lazily on the next
-        insert, so shrinking is safe mid-run)."""
-        if pages < 1:
-            raise LabStorError(f"cache capacity must be >= 1 page, got {pages}")
-        changed = False
-        for mod in self.cache_mods():
-            def set_it(mod=mod) -> None:
-                mod.capacity_pages = pages
-
-            changed |= self._apply(f"cache:{mod.uuid}", mod.capacity_pages,
-                                   pages, reason, urgent, set_it)
-        return changed
-
-    # ------------------------------------------------------------------
     # admission / retry policies
     # ------------------------------------------------------------------
     def set_admission_limit(self, n: int, *, reason: str,
@@ -258,18 +202,6 @@ class Actuators:
 
         return self._apply("admission", policy.max_inflight, n, reason,
                            urgent, set_it)
-
-    def set_tenant_quota(self, tenant: str, quota: int, *, reason: str,
-                         urgent: bool = False) -> bool:
-        policy = self._admission
-        if policy is None or not hasattr(policy, "set_quota"):
-            raise LabStorError(
-                "no per-tenant admission policy bound; bind a "
-                "TenantQuotaAdmission first")
-        quota = max(1, int(quota))
-        old = policy.quota(tenant)
-        return self._apply(f"quota:{tenant}", old, quota, reason, urgent,
-                           lambda: policy.set_quota(tenant, quota))
 
     def set_retry(self, *, max_attempts: int | None = None,
                   max_backoff_ns: int | None = None,

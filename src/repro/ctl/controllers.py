@@ -14,11 +14,7 @@ Shipped controllers:
   window SLO burn vs. rejections, with RNG-jittered headroom probes;
 - :class:`WorkerScaleController` — queue-saturation driven pool scaling;
 - :class:`RetryTuneController` — widen the retry budget while a device
-  is stalled, restore it once healthy;
-- :class:`BatchTuneController` — shrink the batch plug window under SLO
-  burn (latency mode), regrow it under saturation (throughput mode);
-- :class:`CacheSizeController` — grow the LRU cache while the window hit
-  ratio is poor.
+  is stalled, restore it once healthy.
 """
 
 from __future__ import annotations
@@ -29,9 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .actuators import Actuators
     from .daemon import ControlContext
 
-__all__ = ["Controller", "SelfHealController", "AdmissionController",
-           "WorkerScaleController", "RetryTuneController",
-           "BatchTuneController", "CacheSizeController"]
+__all__ = ["SelfHealController", "AdmissionController"]
 
 
 class Controller:
@@ -316,58 +310,3 @@ class RetryTuneController(Controller):
             self._baseline = None
             act.set_retry(max_attempts=attempts, max_backoff_ns=backoff,
                           reason="device recovered", urgent=True)
-
-
-class BatchTuneController(Controller):
-    """Workload-aware batch plug window (the E12 curve's knee moves with
-    the mix): SLO burn → latency mode (narrow window, small merges);
-    saturation with burn quiet → throughput mode (wide window)."""
-
-    name = "batch_tune"
-
-    def __init__(self, *, latency_window_ns: int = 0,
-                 throughput_window_ns: int = 20_000,
-                 throughput_batch_max: int = 32) -> None:
-        self.latency_window_ns = latency_window_ns
-        self.throughput_window_ns = throughput_window_ns
-        self.throughput_batch_max = throughput_batch_max
-
-    def actuate(self, ctx: "ControlContext", act: "Actuators") -> None:
-        if not act.batch_mods():
-            return
-        burn = ctx.health.get("slo_burn")
-        sat = ctx.health.get("queue_saturation")
-        if burn is not None and burn.crit:
-            act.set_batch_params(window_ns=self.latency_window_ns,
-                                 batch_max=1, reason=burn.reason)
-        elif sat is not None and not sat.ok and (burn is None or burn.ok):
-            act.set_batch_params(window_ns=self.throughput_window_ns,
-                                 batch_max=self.throughput_batch_max,
-                                 reason="backlog with SLO quiet")
-
-
-class CacheSizeController(Controller):
-    """Grow the LRU cache while the window hit ratio is poor (bounded
-    doubling); leaves well-hit caches alone."""
-
-    name = "cache_size"
-
-    def __init__(self, *, min_hit_ratio: float = 0.5,
-                 max_pages: int = 262_144, min_window_ops: int = 16) -> None:
-        self.min_hit_ratio = min_hit_ratio
-        self.max_pages = max_pages
-        self.min_window_ops = min_window_ops
-        self._prev: dict[str, tuple[int, int]] = {}  # uuid -> (hits, misses)
-
-    def actuate(self, ctx: "ControlContext", act: "Actuators") -> None:
-        for mod in act.cache_mods():
-            ph, pm = self._prev.get(mod.uuid, (0, 0))
-            dh, dm = mod.hits - ph, mod.misses - pm
-            self._prev[mod.uuid] = (mod.hits, mod.misses)
-            total = dh + dm
-            if total < self.min_window_ops:
-                continue
-            if dh / total < self.min_hit_ratio and mod.capacity_pages < self.max_pages:
-                act.set_cache_capacity(
-                    min(self.max_pages, mod.capacity_pages * 2),
-                    reason=f"hit ratio {dh / total:.0%} over {total} ops")

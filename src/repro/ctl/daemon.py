@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .controllers import Controller
     from .health import HealthCheck
 
-__all__ = ["ControlContext", "ControlDaemon", "TickRecord"]
+__all__ = ["ControlDaemon"]
 
 
 @dataclass

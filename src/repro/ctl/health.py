@@ -26,8 +26,7 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:  # pragma: no cover
     from .daemon import ControlContext
 
-__all__ = ["Health", "HealthCheck", "WorkerLiveness", "DeviceStall",
-           "QueueSaturation", "SloBurn", "LEVELS"]
+__all__ = ["Health", "DeviceStall", "QueueSaturation", "SloBurn"]
 
 #: severity order: index compares (ok < warn < crit)
 LEVELS = ("ok", "warn", "crit")

@@ -2,7 +2,7 @@
 
 One builder so the ``"control"`` determinism scenario
 (:mod:`repro.sim.check`), the chaos-convergence property tests
-(``tests/test_ctl.py``), the report CLI (``python -m repro.ctl.report``)
+(``tests/test_ctl.py``), the report CLI (``python -m repro report ctl``)
 and the benchmark gate all drive the *same* deployment shape:
 
 a 2-worker KVS under open-loop tenant traffic, with the orchestrator's
@@ -34,7 +34,7 @@ from .controllers import (
 )
 from .daemon import ControlDaemon
 
-__all__ = ["CHAOS_MOUNT", "chaos_plan", "chaos_tenant", "build_chaos_control"]
+__all__ = ["build_chaos_control"]
 
 MOUNT = CHAOS_MOUNT = "kvs::/ctl"
 

@@ -2,9 +2,9 @@
 
 ::
 
-    python -m repro.ctl.report                       # controlled run
-    python -m repro.ctl.report --no-daemon           # uncontrolled baseline
-    python -m repro.ctl.report --seed 3 --json -     # machine-readable
+    python -m repro report ctl                       # controlled run
+    python -m repro report ctl --no-daemon           # uncontrolled baseline
+    python -m repro report ctl --seed 3 --json -     # machine-readable
 
 Rides the shared :mod:`repro.cli` output seam (``--json`` / ``--csv`` /
 ``--out``), like the obs/faults/traffic report CLIs.
@@ -15,11 +15,11 @@ from __future__ import annotations
 import argparse
 from typing import Any, Sequence
 
-from ..cli import EXIT_OK, Report, add_output_flags, emit
+from ..cli import Report, add_output_flags, emit
 from ..units import msec, usec
 from .presets import build_chaos_control
 
-__all__ = ["main", "build_report"]
+__all__ = ["main"]
 
 
 def _fmt_levels(levels: dict[str, str]) -> str:
@@ -109,7 +109,7 @@ def build_report(args: argparse.Namespace) -> Report:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.ctl.report",
+        prog="python -m repro report ctl",
         description="Run the canonical chaos-control scenario and report "
                     "the daemon's health verdicts and actuator actions.",
     )
@@ -127,7 +127,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     add_output_flags(parser)
     args = parser.parse_args(argv)
     return emit(args, build_report(args))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

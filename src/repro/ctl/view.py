@@ -82,11 +82,6 @@ class MetricsWindow:
             return 0.0
         return self.delta(name, **labels) * 1e9 / self.elapsed_ns
 
-    def rate_sum(self, name: str, **labels: Any) -> float:
-        if self.elapsed_ns <= 0:
-            return 0.0
-        return self.delta_sum(name, **labels) * 1e9 / self.elapsed_ns
-
     # -- histograms -------------------------------------------------------
     def _matching_hists(self, name: str, labels: dict[str, Any]) -> list:
         return [h for k, h in self._hists.items() if _matches(k, name, labels)]

@@ -2,12 +2,9 @@
 
 from .backing import BackingStore
 from .base import BlockDevice, BlockRequest, DeviceProfile, IoOp
-from .hdd import Hdd
-from .nvme import Nvme
 from .pmem import Pmem
-from .profiles import HDD_ST600, NVME_P3700, PMEM_EMULATED, PROFILES, SATA_SSD_BX, ZNS_NVME, make_device
-from .ssd import SataSsd
-from .zns import Zone, ZoneState, ZnsNvme
+from .profiles import make_device
+from .zns import ZoneState, ZnsNvme
 
 __all__ = [
     "BackingStore",
@@ -15,18 +12,8 @@ __all__ = [
     "BlockRequest",
     "DeviceProfile",
     "IoOp",
-    "Hdd",
-    "Nvme",
     "Pmem",
-    "SataSsd",
     "make_device",
-    "PROFILES",
-    "NVME_P3700",
-    "SATA_SSD_BX",
-    "HDD_ST600",
-    "PMEM_EMULATED",
-    "ZNS_NVME",
     "ZnsNvme",
-    "Zone",
     "ZoneState",
 ]

@@ -8,7 +8,7 @@ from ..errors import DeviceError
 from ..sim import Environment
 from .base import BlockDevice, DeviceProfile
 
-__all__ = ["Hdd"]
+__all__ = []
 
 
 class Hdd(BlockDevice):

@@ -8,7 +8,7 @@ from ..errors import DeviceError
 from ..sim import Environment, Event
 from .base import BlockDevice, BlockRequest, DeviceProfile
 
-__all__ = ["Nvme"]
+__all__ = []
 
 
 class Nvme(BlockDevice):

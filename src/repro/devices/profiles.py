@@ -28,12 +28,6 @@ from .pmem import Pmem
 from .ssd import SataSsd
 
 __all__ = [
-    "NVME_P3700",
-    "SATA_SSD_BX",
-    "HDD_ST600",
-    "PMEM_EMULATED",
-    "ZNS_NVME",
-    "PROFILES",
     "DeviceSpec",
     "make_device",
 ]
@@ -130,9 +124,9 @@ def _validate_overrides(kind: str, overrides: dict) -> None:
 class DeviceSpec:
     """A typed, validated recipe for one device of a LabStorSystem.
 
-    Replaces the stringly ``device_overrides`` dict: the kind and every
-    override key are checked at construction time, so a typo fails where
-    it was written instead of silently building a default device.
+    The kind and every override key are checked at construction time, so
+    a typo fails where it was written instead of silently building a
+    default device.
 
     ::
 

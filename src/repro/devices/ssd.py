@@ -7,7 +7,7 @@ import numpy as np
 from ..sim import Environment
 from .base import BlockDevice, DeviceProfile
 
-__all__ = ["SataSsd"]
+__all__ = []
 
 
 class SataSsd(BlockDevice):

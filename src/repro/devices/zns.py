@@ -26,7 +26,7 @@ from ..sim import Environment
 from .base import BlockDevice, BlockRequest, DeviceProfile, IoOp
 from .nvme import Nvme
 
-__all__ = ["ZoneState", "Zone", "ZnsNvme"]
+__all__ = ["ZoneState", "ZnsNvme"]
 
 
 class ZoneState(enum.Enum):

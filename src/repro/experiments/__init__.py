@@ -30,25 +30,3 @@ them all and runs any of them (``python -m repro.experiments <name>``).
 Importing this package imports none of them: ``common`` and ``report``
 sit on other packages' import paths.
 """
-
-__all__ = [
-    "anatomy",
-    "live_upgrade",
-    "orchestration_cpu",
-    "orchestration_partition",
-    "storage_api",
-    "metadata",
-    "schedulers",
-    "pfs_eval",
-    "labios_eval",
-    "filebench_eval",
-    "ablations",
-    "fault_recovery",
-    "batching",
-    "openloop",
-    "cluster_scaling",
-    "control_plane",
-    "report",
-    "registry",
-    "runner",
-]

@@ -27,11 +27,6 @@ from ..units import KiB, sec
 from .registry import Experiment, Table, register
 
 __all__ = [
-    "ablate_allocator",
-    "ablate_ipc_cost",
-    "ablate_exec_mode",
-    "ablate_consistency",
-    "ablate_cache_capacity",
 ]
 
 

@@ -13,7 +13,7 @@ driver ~1%.
 
 The point takes a ``config``: ``lab-all`` / ``lab-min`` / ``lab-d`` run the
 LabFS stack variant, ``ext4`` the kernel baseline — the Fig 4 matrix
-``python -m repro.obs.report`` drives as a four-point grid.
+``python -m repro report obs`` drives as a four-point grid.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from ..obs import Telemetry, phase_breakdown
 from ..system import LabStorSystem
 from .registry import Experiment, Table, register
 
-__all__ = ["run_anatomy", "PHASE_CONFIGS"]
+__all__ = ["PHASE_CONFIGS"]
 
 #: the Fig 4 matrix: three LabFS variants and the kernel baseline
 PHASE_CONFIGS = ("lab-all", "lab-min", "lab-d", "ext4")
@@ -193,4 +193,5 @@ register(Experiment(
     point=run_anatomy,
     grid=({"op": "read", "nops": 128, "bs": 4096, "config": "lab-all"},),
     seeds="base", table=_TABLE, gates=_read_gates, summarize=_single,
+    smoke={"op": "read", "nops": 8, "bs": 4096, "config": "lab-all"},
 ))

@@ -23,7 +23,7 @@ from ..obs.telemetry import Telemetry
 from ..system import LabStorSystem
 from .registry import Experiment, Table, register
 
-__all__ = ["run_batching", "BATCH_SIZES"]
+__all__ = []
 
 BATCH_SIZES = (1, 2, 4, 8, 16)
 

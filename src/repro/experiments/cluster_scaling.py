@@ -33,7 +33,7 @@ from ..workloads.fsapi import GenericFsAdapter, KernelFsAdapter
 from ..workloads.vpic import VpicConfig, run_bdcats, run_vpic
 from .registry import Experiment, Table, register
 
-__all__ = ["run_cluster_scaling", "run_cluster_scaling_par", "run_pfs_cluster"]
+__all__ = []
 
 VALUE_SIZE = 256
 

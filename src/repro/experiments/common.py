@@ -20,8 +20,6 @@ from ..system import LabStorSystem
 from ..workloads.fsapi import GenericFsAdapter, KernelFsAdapter
 
 __all__ = [
-    "KERNEL_FSES",
-    "LAB_VARIANTS",
     "kernel_fs_api",
     "LabFsFixture",
     "LabKvsFixture",

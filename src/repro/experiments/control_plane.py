@@ -30,7 +30,7 @@ from __future__ import annotations
 from ..units import msec, usec
 from .registry import Experiment, Table, register
 
-__all__ = ["STATIC_LIMITS", "PHASES", "run_control_point"]
+__all__ = ["PHASES"]
 
 #: static admission limits swept for the baseline and the oracle
 STATIC_LIMITS = (2, 4, 8, 16, 32, 64, 128)

@@ -30,7 +30,7 @@ from ..system import LabStorSystem
 from ..units import msec, to_sec, usec
 from .registry import Experiment, Table, register
 
-__all__ = ["run_fault_recovery", "build_plan", "SCENARIO_LADDER"]
+__all__ = []
 
 WRITE_BS = 4096
 
@@ -80,7 +80,7 @@ def run_fault_recovery(env, p: dict, seed: int = 0) -> dict:
     in the ladder table) and the scalar pressure knobs of :func:`build_plan` (``power_cut=True``
     schedules the cut at 2 ms unless ``power_cut_at_ns`` says otherwise);
     ``plan`` overrides the knobs with a prebuilt :class:`FaultPlan`
-    (``python -m repro.faults.report --plan``).
+    (``python -m repro report faults --plan``).
     """
     nwrites = p["nwrites"]
     plan = p.get("plan")

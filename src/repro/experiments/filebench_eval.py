@@ -17,7 +17,7 @@ from ..workloads.filebench import PERSONALITIES, run_personality
 from .common import KERNEL_FSES, LabFsFixture, kernel_fs_api
 from .registry import Experiment, Table, register
 
-__all__ = ["run_filebench", "FB_CONFIGS"]
+__all__ = []
 
 FB_CONFIGS = ("ext4", "xfs", "f2fs", "lab-all", "lab-min", "lab-d")
 

@@ -15,7 +15,7 @@ from .common import KERNEL_FSES, LabKvsFixture, kernel_fs_api
 from ..workloads.labios import run_labios_fs, run_labios_kvs
 from .registry import Experiment, Table, register
 
-__all__ = ["run_labios_backend", "BACKENDS"]
+__all__ = []
 
 BACKENDS = ("ext4", "xfs", "f2fs", "labkvs-all", "labkvs-min", "labkvs-d")
 

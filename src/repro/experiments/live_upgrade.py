@@ -25,7 +25,7 @@ from ..system import LabStorSystem
 from ..units import msec, to_sec, usec
 from .registry import Experiment, Table, register
 
-__all__ = ["run_live_upgrade"]
+__all__ = []
 
 # per-message LabMod processing delay chosen so that the unscaled paper
 # workload (100k messages) lasts ~29s: 100k x ~290us

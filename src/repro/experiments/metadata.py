@@ -21,7 +21,7 @@ from ..workloads.fxmark import run_create
 from .common import KERNEL_FSES, LabFsFixture, kernel_fs_api
 from .registry import Experiment, Table, register
 
-__all__ = ["run_metadata", "CONFIGS"]
+__all__ = []
 
 CONFIGS = ("ext4", "xfs", "f2fs", "labfs-all", "labfs-min", "labfs-d")
 

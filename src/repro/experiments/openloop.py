@@ -21,7 +21,7 @@ from __future__ import annotations
 from ..units import msec
 from .registry import Experiment, Table, register
 
-__all__ = ["OFFERED_LOADS", "POLICIES", "run_openloop_point"]
+__all__ = ["POLICIES"]
 
 OFFERED_LOADS = (0.25, 0.5, 1.0, 1.5, 2.5, 4.0)
 POLICIES = ("none", "queue-depth")

@@ -20,7 +20,7 @@ from ..units import msec, sec
 from ..workloads.fio import FioJob, LabStackEngine, run_fio
 from .registry import Experiment, Table, register
 
-__all__ = ["run_orchestration_cpu"]
+__all__ = []
 
 
 def _worker_setting(kind: str) -> dict:

@@ -24,7 +24,7 @@ from ..system import LabStorSystem
 from ..units import MiB, msec, sec
 from .registry import Experiment, Table, register
 
-__all__ = ["run_partition"]
+__all__ = []
 
 
 def run_partition(env, p: dict, seed: int = 0) -> dict:

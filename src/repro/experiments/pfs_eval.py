@@ -24,7 +24,7 @@ from ..workloads.vpic import VpicConfig, run_bdcats, run_vpic
 from .common import LabFsFixture
 from .registry import Experiment, Table, register
 
-__all__ = ["run_pfs", "MDS_BACKENDS"]
+__all__ = []
 
 MDS_BACKENDS = ("ext4", "labfs-all", "labfs-min")
 

@@ -42,6 +42,10 @@ class Experiment:
     summarize: Optional[Callable[[list], dict]] = None
     smoke: Optional[dict] = None
 
+    def seed_for(self, base_seed: int, point_seed: int) -> int:
+        """The seed one grid point runs at, as ``seeds`` declares."""
+        return point_seed if self.seeds == "per-point" else base_seed
+
 
 #: every figure, in registration (= ``--list``) order
 EXPERIMENTS: dict[str, Experiment] = {}

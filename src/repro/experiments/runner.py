@@ -70,7 +70,7 @@ def _run_point(task: tuple, point_seed: int) -> tuple[dict, int]:
     reset_global_counters()
     env = Environment()
     sanitizer = maybe_attach(env)
-    row = exp.point(env, params, point_seed if exp.seeds == "per-point" else base_seed)
+    row = exp.point(env, params, exp.seed_for(base_seed, point_seed))
     if sanitizer is not None:
         sanitizer.finish()
     return row, env._eid

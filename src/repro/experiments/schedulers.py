@@ -31,7 +31,7 @@ from ..units import KiB
 from ..workloads.fio import FioJob, LabStackEngine, RawDeviceEngine, run_fio
 from .registry import Experiment, Table, register
 
-__all__ = ["run_schedulers", "SCHEDULERS"]
+__all__ = []
 
 SCHEDULERS = ("linux-noop", "linux-blk", "lab-noop", "lab-blk")
 
@@ -133,5 +133,6 @@ register(Experiment(
             for r in rows],
     ),
     gates=_gates,
-    smoke={"scheduler": "linux-blk", "colocated": True, "l_nops": 8, "t_nops": 8},
+    # the paper's subject: blk-switch as a LabMod, under co-location
+    smoke={"scheduler": "lab-blk", "colocated": True, "l_nops": 8, "t_nops": 8},
 ))

@@ -13,26 +13,23 @@ Three layers (see DESIGN.md "Fault injection & resilience"):
 
 Arm a plan via ``LabStorSystem(fault_plan=...)``, the fluent
 ``system.stack(...).faults(plan)``, or ``REPRO_FAULTS=...`` in the
-process environment.  ``python -m repro.faults.report`` runs the canned
+process environment.  ``python -m repro report faults`` runs the canned
 power-cut scenario and prints the recovery report.
 """
 
 from .consistency import CrashConsistencyChecker, torn_prefix_len
-from .engine import DeviceFaultInjector, FaultEngine, QpSubmitInjector
-from .plan import FAULTS_ENV_VAR, KINDS, FaultPlan, FaultSpec, plan_from_env
+from .engine import FaultEngine
+from .plan import FAULTS_ENV_VAR, FaultPlan, FaultSpec, plan_from_env
 from .policies import DEFAULT_RETRYABLE, RetryPolicy
 
 __all__ = [
     "FaultPlan",
     "FaultSpec",
     "FaultEngine",
-    "DeviceFaultInjector",
-    "QpSubmitInjector",
     "RetryPolicy",
     "DEFAULT_RETRYABLE",
     "CrashConsistencyChecker",
     "torn_prefix_len",
     "plan_from_env",
     "FAULTS_ENV_VAR",
-    "KINDS",
 ]

@@ -67,19 +67,6 @@ class CrashConsistencyChecker:
         new, _old = self.pending.pop(path)
         self.acked[path] = new
 
-    # -- snapshot plumbing -------------------------------------------------
-    def export_state(self) -> dict:
-        """Picklable acked/pending ledger (rides along on snapshot-tree
-        nodes so every branch can be audited after a rewind)."""
-        return {"acked": dict(self.acked), "pending": dict(self.pending)}
-
-    @classmethod
-    def load_state(cls, state: dict) -> "CrashConsistencyChecker":
-        c = cls()
-        c.acked = dict(state["acked"])
-        c.pending = {p: tuple(v) for p, v in state["pending"].items()}
-        return c
-
     # -- post-remount verification ----------------------------------------
     def verify(self, gfs):
         """Process generator: read the recovered namespace through ``gfs``
@@ -124,41 +111,6 @@ class CrashConsistencyChecker:
             report.setdefault("torn_prefixes", {})[path] = k
         self.report = report
         return report
-
-
-    def verify_torn_blocks(self, labfs, store) -> dict[str, int]:
-        """Device-level prefix check for offset-0 in-flight writes.
-
-        The FS-level :meth:`verify` cannot see torn data past the logged
-        file size, so this inspects the backing ``store`` directly: for
-        every pending write whose blocks were mapped before the cut, the
-        raw bytes must equal ``new[:k] + old[k:]`` for one sector-aligned
-        ``k``.  Returns ``{path: k}``; raises on interleaved garbage."""
-        out: dict[str, int] = {}
-        for path, (new, old) in sorted(self.pending.items()):
-            ino = labfs.by_path.get(path)
-            if ino is None:
-                continue
-            inode = labfs.inodes[ino]
-            if not inode.blocks:
-                continue
-            raw = bytearray(len(new))
-            block = 4096
-            for page in range(0, (len(new) + block - 1) // block):
-                dev_off = inode.blocks.get(page)
-                if dev_off is None:
-                    continue  # allocation never reached this page
-                chunk = store.read(dev_off, block)
-                raw[page * block : (page + 1) * block] = chunk
-            k = torn_prefix_len(old, new, bytes(raw[: len(new)]))
-            if k is None:
-                raise ConsistencyError(
-                    f"{path}: device blocks hold interleaved data, "
-                    "not a sector-aligned torn prefix"
-                )
-            out[path] = k
-        self.report.setdefault("torn_prefixes", {}).update(out)
-        return out
 
 
 def _first_diff(a: bytes, b: bytes) -> int:

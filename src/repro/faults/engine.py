@@ -31,7 +31,7 @@ from .plan import DEVICE_KINDS, QP_KINDS, TIMED_KINDS, FaultPlan, FaultSpec
 if TYPE_CHECKING:  # pragma: no cover
     from ..system import LabStorSystem
 
-__all__ = ["FaultEngine", "DeviceFaultInjector", "QpSubmitInjector", "SECTOR"]
+__all__ = ["FaultEngine"]
 
 #: torn writes truncate at this boundary (the device's atomic write unit)
 SECTOR = 512

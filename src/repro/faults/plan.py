@@ -41,7 +41,7 @@ from ..config import FAULTS_ENV_VAR
 from ..config import current as _config
 from ..errors import LabStorError
 
-__all__ = ["FaultSpec", "FaultPlan", "FAULTS_ENV_VAR", "plan_from_env", "KINDS"]
+__all__ = ["FaultSpec", "FaultPlan", "FAULTS_ENV_VAR", "plan_from_env"]
 
 #: injector kinds that decide per device operation
 DEVICE_KINDS = ("media_error", "latency", "torn_write")

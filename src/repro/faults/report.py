@@ -8,11 +8,11 @@ sourced from the :mod:`repro.obs` telemetry registry.
 
 Usage::
 
-    python -m repro.faults.report                  # canned power-cut chaos
-    python -m repro.faults.report --writes 200 --seed 7
-    python -m repro.faults.report --plan "media_error:device=nvme,probability=0.2"
-    python -m repro.faults.report --json           # JSON to stdout
-    python -m repro.faults.report --json out.json --csv out.csv
+    python -m repro report faults                  # canned power-cut chaos
+    python -m repro report faults --writes 200 --seed 7
+    python -m repro report faults --plan "media_error:device=nvme,probability=0.2"
+    python -m repro report faults --json           # JSON to stdout
+    python -m repro report faults --json out.json --csv out.csv
 
 Output flags are the shared :mod:`repro.cli` surface: a bare ``--json``
 keeps its historical meaning (JSON to stdout instead of the table), and
@@ -22,13 +22,12 @@ keeps its historical meaning (JSON to stdout instead of the table), and
 from __future__ import annotations
 
 import argparse
-import sys
 
 from ..experiments.report import format_kv
 from ..units import msec
 from .plan import FaultPlan
 
-__all__ = ["run_report", "main"]
+__all__ = ["main"]
 
 #: CSV column order: one row per scalar metric of the run
 CSV_HEADERS = ("metric", "value")
@@ -84,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     from ..cli import Report, add_output_flags, emit
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.faults.report",
+        prog="python -m repro report faults",
         description="Fault injection & recovery chaos report.",
     )
     parser.add_argument("--writes", type=int, default=160, metavar="N",
@@ -103,7 +102,3 @@ def main(argv: list[str] | None = None) -> int:
         csv_headers=CSV_HEADERS,
         csv_rows=_rows(result),
     ))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))

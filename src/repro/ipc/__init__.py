@@ -1,16 +1,13 @@
 """Shared-memory IPC: segments with grants, queue pairs, and the manager."""
 
-from .manager import ClientConn, IpcManager, UDS_HANDSHAKE_NS
+from .manager import IpcManager
 from .queue_pair import Completion, QueueFlag, QueuePair
-from .shmem import SharedMemorySegment, ShMemManager
+from .shmem import ShMemManager
 
 __all__ = [
     "IpcManager",
-    "ClientConn",
-    "UDS_HANDSHAKE_NS",
     "QueuePair",
     "QueueFlag",
     "Completion",
-    "SharedMemorySegment",
     "ShMemManager",
 ]

@@ -15,7 +15,7 @@ from ..sim import Environment
 from .queue_pair import QueuePair
 from .shmem import ShMemManager
 
-__all__ = ["IpcManager", "ClientConn"]
+__all__ = ["IpcManager"]
 
 # UNIX-domain-socket handshake (connect + credential passing), ns.
 UDS_HANDSHAKE_NS = 25_000
@@ -89,22 +89,6 @@ class IpcManager:
         return conn
 
     # -- queue management -----------------------------------------------------
-    def make_intermediate_qp(self, *, ordered: bool = False, depth: int | None = None,
-                             owner: str = "runtime") -> QueuePair:
-        """Private-memory QP for request-spawned work (no access checks,
-        and no cross-core hop: producer and consumer share the Runtime)."""
-        qp = QueuePair(
-            self.env,
-            primary=False,
-            ordered=ordered,
-            depth=depth,
-            segment=None,
-            pop_cost_ns=self.cost.labmod_hop_ns,
-            owner=owner,
-        )
-        self.qps[qp.qid] = qp
-        return qp
-
     def get_qp(self, qid: int) -> QueuePair:
         try:
             return self.qps[qid]

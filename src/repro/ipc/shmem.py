@@ -14,7 +14,7 @@ import itertools
 from ..errors import ShmAccessError
 from ..sim import Environment
 
-__all__ = ["SharedMemorySegment", "ShMemManager"]
+__all__ = ["ShMemManager"]
 
 _seg_ids = itertools.count(1)
 

@@ -1,49 +1,26 @@
 """Simulated Linux kernel substrate: CPU, block layer, page cache, FSes, APIs."""
 
-from .block_layer import BlockLayer, KernelBlkSwitch, KernelIoScheduler, KernelNoop
+from .block_layer import BlockLayer, KernelBlkSwitch, KernelNoop
 from .cpu import DEFAULT_COST, CostModel, Cpu
-from .filesystems import (
-    BLOCK_SIZE,
-    Ext4Sim,
-    F2fsSim,
-    FILESYSTEMS,
-    KernelFilesystem,
-    XfsSim,
-    make_filesystem,
-)
-from .interfaces import (
-    INTERFACES,
-    IoInterface,
-    IoUring,
-    Libaio,
-    PosixAio,
-    PosixSync,
-    make_interface,
-)
-from .page_cache import PAGE_SIZE, CachedPage, PageCache
+from .filesystems import Ext4Sim, F2fsSim, KernelFilesystem, XfsSim, make_filesystem
+from .interfaces import INTERFACES, IoInterface, IoUring, make_interface
+from .page_cache import PAGE_SIZE, PageCache
 
 __all__ = [
     "CostModel",
     "Cpu",
     "DEFAULT_COST",
     "BlockLayer",
-    "KernelIoScheduler",
     "KernelNoop",
     "KernelBlkSwitch",
     "PageCache",
-    "CachedPage",
     "PAGE_SIZE",
     "KernelFilesystem",
     "Ext4Sim",
     "XfsSim",
     "F2fsSim",
-    "FILESYSTEMS",
     "make_filesystem",
-    "BLOCK_SIZE",
     "IoInterface",
-    "PosixSync",
-    "PosixAio",
-    "Libaio",
     "IoUring",
     "INTERFACES",
     "make_interface",

@@ -21,7 +21,7 @@ from ..devices.base import BlockDevice, BlockRequest, IoOp
 from ..sim import Environment
 from .cpu import DEFAULT_COST, CostModel
 
-__all__ = ["KernelIoScheduler", "KernelNoop", "KernelBlkSwitch", "BlockLayer"]
+__all__ = ["KernelNoop", "KernelBlkSwitch", "BlockLayer"]
 
 
 class KernelIoScheduler(abc.ABC):

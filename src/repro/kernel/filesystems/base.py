@@ -25,7 +25,7 @@ from ..block_layer import BlockLayer
 from ..cpu import DEFAULT_COST, CostModel
 from ..page_cache import PAGE_SIZE, PageCache
 
-__all__ = ["Inode", "KernelFilesystem", "OpenFile"]
+__all__ = ["KernelFilesystem"]
 
 BLOCK_SIZE = PAGE_SIZE
 

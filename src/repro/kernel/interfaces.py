@@ -31,9 +31,6 @@ from .cpu import DEFAULT_COST, CostModel
 
 __all__ = [
     "IoInterface",
-    "PosixSync",
-    "PosixAio",
-    "Libaio",
     "IoUring",
     "INTERFACES",
     "make_interface",

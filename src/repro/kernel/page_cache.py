@@ -16,7 +16,7 @@ from ..errors import KernelError
 from ..sim import Environment
 from .cpu import DEFAULT_COST, CostModel
 
-__all__ = ["PageCache", "CachedPage", "PAGE_SIZE"]
+__all__ = ["PageCache", "PAGE_SIZE"]
 
 PAGE_SIZE = 4096
 

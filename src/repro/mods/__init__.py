@@ -8,16 +8,14 @@ LabStack spec node).
 from .cache_lru import LruCacheMod
 from .compression import CompressionMod
 from .consistency import ConsistencyMod
-from .drivers import DaxDriverMod, DriverMod, KernelDriverMod, SpdkDriverMod
+from .drivers import DaxDriverMod, KernelDriverMod, SpdkDriverMod
 from .dummy import DummyMod, DummyModV2
 from .generic_fs import GenericFS
 from .generic_kvs import GenericKVS
-from .iostats import IoStatsMod
 from .labfs import LabFs, MetadataLog, PerWorkerBlockAllocator
 from .labfs.alloc import CentralizedBlockAllocator
 from .labkvs import LabKvs
 from .permissions import PermissionsMod
-from .prefetch import PrefetchMod
 from .sched_batch import BatchSchedMod
 from .sched_blkswitch import BlkSwitchSchedMod
 from .sched_noop import NoOpSchedMod
@@ -32,8 +30,6 @@ STANDARD_REPO = {
         PermissionsMod,
         CompressionMod,
         ConsistencyMod,
-        IoStatsMod,
-        PrefetchMod,
         NoOpSchedMod,
         BatchSchedMod,
         BlkSwitchSchedMod,
@@ -53,13 +49,10 @@ __all__ = [
     "PermissionsMod",
     "CompressionMod",
     "ConsistencyMod",
-    "IoStatsMod",
-    "PrefetchMod",
     "CentralizedBlockAllocator",
     "NoOpSchedMod",
     "BatchSchedMod",
     "BlkSwitchSchedMod",
-    "DriverMod",
     "KernelDriverMod",
     "SpdkDriverMod",
     "DaxDriverMod",

@@ -26,7 +26,7 @@ from ..errors import LabStorError
 from ..kernel.block_layer import BlockLayer
 from ..sim import Interrupt
 
-__all__ = ["DriverMod", "KernelDriverMod", "SpdkDriverMod", "DaxDriverMod"]
+__all__ = ["KernelDriverMod", "SpdkDriverMod", "DaxDriverMod"]
 
 _OPS = {
     "blk.read": IoOp.READ,

@@ -84,9 +84,6 @@ class GenericFS:
         self._fds[fd] = _FdEntry(stack_id=stack.stack_id, ino=ino, pos=0, path=remainder)
         return fd
 
-    def creat(self, path: str):
-        return (yield from self.open(path, create=True))
-
     def close(self, fd: int):
         yield from self._intercept()
         entry = self._fds.pop(fd, None)

@@ -1,7 +1,7 @@
 """LabFS: log-structured POSIX filesystem LabMod."""
 
 from .alloc import PerWorkerBlockAllocator
-from .fs import LabFs, LabFsInode
-from .log import LogRecord, MetadataLog, replay
+from .fs import LabFs
+from .log import MetadataLog, replay
 
-__all__ = ["LabFs", "LabFsInode", "PerWorkerBlockAllocator", "MetadataLog", "LogRecord", "replay"]
+__all__ = ["LabFs", "PerWorkerBlockAllocator", "MetadataLog", "replay"]

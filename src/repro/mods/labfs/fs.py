@@ -40,7 +40,7 @@ from ...errors import FsError
 from . import log as mdlog
 from .alloc import CentralizedBlockAllocator, PerWorkerBlockAllocator
 
-__all__ = ["LabFs", "LabFsInode"]
+__all__ = ["LabFs"]
 
 BLOCK = 4096
 

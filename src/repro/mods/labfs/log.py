@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-__all__ = ["LogRecord", "MetadataLog", "replay", "ensure_seq_above"]
+__all__ = ["MetadataLog", "replay"]
 
 _seq = itertools.count(1)
 

@@ -18,27 +18,14 @@ Enable per system::
     system = LabStorSystem(telemetry=telemetry)   # or telemetry=True
 
 or process-wide with ``REPRO_TELEMETRY=1``.  See
-``python -m repro.obs.report --help`` for the span-derived Fig 4 anatomy
+``python -m repro report obs --help`` for the span-derived Fig 4 anatomy
 CLI, and DESIGN.md "Observability" for the span taxonomy.
 """
 
 from .metrics import MetricsRegistry
+from .report import phase_breakdown
 from .spans import PHASES, SpanContext
 from .telemetry import TELEMETRY_ENV_VAR, Telemetry, maybe_attach, telemetry_requested
-
-_REPORT_EXPORTS = (
-    "phase_breakdown", "format_breakdown", "breakdown_to_json", "breakdown_to_csv",
-)
-
-
-def __getattr__(name: str):
-    # lazy re-export: keeps `python -m repro.obs.report` from importing the
-    # CLI module twice (runpy would warn about the stale sys.modules entry)
-    if name in _REPORT_EXPORTS:
-        from . import report
-
-        return getattr(report, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "PHASES",
@@ -49,7 +36,4 @@ __all__ = [
     "telemetry_requested",
     "maybe_attach",
     "phase_breakdown",
-    "format_breakdown",
-    "breakdown_to_json",
-    "breakdown_to_csv",
 ]

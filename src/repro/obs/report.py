@@ -1,4 +1,4 @@
-"""Breakdown reports over collected spans + JSON/CSV export + CLI.
+"""Breakdown reports over collected spans + the ``report obs`` CLI.
 
 ``phase_breakdown(spans)`` turns a list of closed
 :class:`~repro.obs.spans.SpanContext` objects into the paper's Fig 4
@@ -9,7 +9,7 @@ derived from measured per-request stamps, never hard-coded accounting.
 Run the anatomy experiment across the canonical configurations from the
 command line::
 
-    PYTHONPATH=src python -m repro.obs.report [--op write|read]
+    PYTHONPATH=src python -m repro report obs [--op write|read]
         [--nops N] [--bs BYTES] [--seed S]
         [--json [PATH]] [--csv [PATH]] [--out PATH]
 
@@ -25,21 +25,11 @@ sum to the measured end-to-end latency.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 from typing import Any, Iterable
 
 from .spans import PHASES, SpanContext
 
-__all__ = [
-    "phase_breakdown",
-    "format_breakdown",
-    "breakdown_to_json",
-    "breakdown_to_csv",
-    "breakdown_rows",
-    "main",
-]
+__all__ = ["phase_breakdown", "breakdown_rows", "main"]
 
 
 def phase_breakdown(spans: Iterable[SpanContext]) -> dict[str, Any]:
@@ -108,16 +98,7 @@ def format_breakdown(breakdown: dict[str, Any], title: str | None = None) -> str
     )
 
 
-def breakdown_to_json(results: dict[str, dict[str, Any]], path: str | None = None) -> str:
-    """Serialize ``{config: breakdown}`` to JSON (optionally to ``path``)."""
-    text = json.dumps(results, indent=2, sort_keys=True)
-    if path:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-    return text
-
-
-#: CSV column order shared by :func:`breakdown_to_csv` and the CLI
+#: CSV column order of :func:`breakdown_rows` (the CLI's ``--csv``)
 CSV_HEADERS = ("config", "phase", "count", "total_ns", "mean_ns", "fraction")
 
 
@@ -138,25 +119,11 @@ def breakdown_rows(results: dict[str, dict[str, Any]]) -> list[list[Any]]:
     return rows
 
 
-def breakdown_to_csv(results: dict[str, dict[str, Any]], path: str | None = None) -> str:
-    """Flatten ``{config: breakdown}`` to CSV rows (config, phase, ...)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(list(CSV_HEADERS))
-    for row in breakdown_rows(results):
-        writer.writerow(row)
-    text = buf.getvalue()
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
-    return text
-
-
 def main(argv: list[str] | None = None) -> int:
     from ..cli import Report, add_output_flags, emit
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.report",
+        prog="python -m repro report obs",
         description="Span-derived Fig 4 anatomy across the canonical stacks.",
     )
     parser.add_argument("--op", choices=("write", "read"), default="write")
@@ -190,7 +157,3 @@ def main(argv: list[str] | None = None) -> int:
         csv_headers=CSV_HEADERS,
         csv_rows=breakdown_rows(breakdowns),
     ))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -229,25 +229,6 @@ class SpanContext:
             "completion": self.reap_ns - self.complete_ns,
         }
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "req_id": self.req_id,
-            "op": self.op,
-            "kind": self.kind,
-            "stack_id": self.stack_id,
-            "sync": self.sync,
-            "submit_ns": self.submit_ns,
-            "doorbell_ns": self.doorbell_ns,
-            "accept_ns": self.accept_ns,
-            "pop_ns": self.pop_ns,
-            "complete_ns": self.complete_ns,
-            "reap_ns": self.reap_ns,
-            "e2e_ns": self.e2e_ns if self.closed else None,
-            "phases": self.phases() if self.closed else None,
-            "cats": dict(self.cats),
-            "mods": {u: dict(m) for u, m in self.mods.items()},
-        }
-
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"
         return f"<SpanContext #{self.req_id} {self.op} kind={self.kind} {state}>"

@@ -15,7 +15,7 @@ Adding a scenario is one file in this package that ends in a
 order).
 """
 
-from .catalogue import SCENARIOS, Program, Scenario, names_with, register
+from .catalogue import SCENARIOS, Program, names_with, register
 from .runner import LiveRun, RunOutcome, run_audited, run_scenario
 
 from . import (  # noqa: E402,F401 - imported for their register() calls
@@ -29,12 +29,12 @@ from . import (  # noqa: E402,F401 - imported for their register() calls
     control,
     upgrade_under_load,
     e14,
+    zns,
     figures,
 )
 
 __all__ = [
     "SCENARIOS",
-    "Scenario",
     "Program",
     "register",
     "names_with",

@@ -6,7 +6,7 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Optional
 
-__all__ = ["Program", "Scenario", "SCENARIOS", "register", "names_with"]
+__all__ = ["Program", "SCENARIOS", "register", "names_with"]
 
 
 class Program:

@@ -4,7 +4,7 @@ comes from a :class:`Program` started by :func:`run_audited`."""
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 from ..errors import SnapshotError
 from ..sim.check import AuditRun, TraceHasher, reset_global_counters
@@ -51,18 +51,13 @@ class LiveRun:
         if at_ns > self.env.now:
             self.env.run(until=at_ns)
 
-    def pause(self, at_ns: int,
-              history: Iterable[tuple[int, Callable]] = ()) -> None:
-        """Advance to the mid-flight instant ``at_ns``, applying each
-        ``(t, mutate)`` step of ``history`` at its own instant on the
-        way.  Pure bookkeeping between ``env.run()`` calls: no event is
-        injected, so pausing cannot move the digest."""
+    def pause(self, at_ns: int) -> None:
+        """Advance to the mid-flight instant ``at_ns``.  Pure bookkeeping
+        between ``env.run()`` calls: no event is injected, so pausing
+        cannot move the digest."""
         if at_ns <= self.env.now:
             raise SnapshotError(
                 f"pause point {at_ns} not after build end ({self.env.now})")
-        for t, mutate in history:
-            self.run_until(t)
-            mutate(self.ctx)
         self.run_until(at_ns)
         if self.main.triggered:
             raise SnapshotError(

@@ -9,7 +9,6 @@ from .core import (
     Interrupt,
     Process,
     StopSimulation,
-    Timeout,
 )
 from .resources import Container, FilterStore, PriorityResource, Resource, Store
 from .rng import RngRegistry
@@ -20,7 +19,6 @@ from .trace import SpanAccumulator, Tracer
 __all__ = [
     "Environment",
     "Event",
-    "Timeout",
     "Process",
     "Interrupt",
     "StopSimulation",

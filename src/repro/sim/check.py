@@ -33,10 +33,8 @@ from .sanitizer import Sanitizer
 from .trace import TraceEvent
 
 __all__ = [
-    "canon_line",
     "TraceHasher",
     "AuditRun",
-    "CounterScope",
     "reset_global_counters",
     "scenarios",
     "UsageParser",

@@ -44,7 +44,6 @@ LOW = 2
 __all__ = [
     "Environment",
     "Event",
-    "Timeout",
     "Process",
     "Interrupt",
     "StopSimulation",
@@ -341,9 +340,6 @@ class ConditionValue:
 
     def __iter__(self):
         return iter(self.events)
-
-    def todict(self) -> dict[Event, Any]:
-        return {ev: ev._value for ev in self.events}
 
 
 class Condition(Event):

@@ -57,7 +57,6 @@ __all__ = [
     "OutPort",
     "TraceCollector",
     "ParWorld",
-    "ShardHost",
     "ParResult",
     "run_program",
     "main",
@@ -392,8 +391,14 @@ class _InProcessShard:
         pass
 
 
-def _shard_worker(conn, program, names, trace) -> None:
-    """Forked shard main loop: deterministic construction then barriers."""
+def _shard_worker(conn, program, names, trace, inherited) -> None:
+    """Forked shard main loop: deterministic construction then barriers.
+
+    ``inherited`` are the coordinator's pipe ends the fork copied in
+    (this shard's and every earlier one's): closed first, so a shard
+    whose coordinator end closes sees EOF instead of waiting forever."""
+    for end in inherited:
+        end.close()
     try:
         reset_global_counters()
         host = ShardHost(program, names, trace=trace)
@@ -425,11 +430,13 @@ class _ForkedShard:
     point workers.
     """
 
-    def __init__(self, ctx, program, names, trace: bool) -> None:
+    def __init__(self, ctx, program, names, trace: bool, earlier=()) -> None:
         self.names = names
         self.conn, child = ctx.Pipe()
         self.proc = ctx.Process(
-            target=_shard_worker, args=(child, program, names, trace),
+            target=_shard_worker,
+            args=(child, program, names, trace,
+                  [self.conn, *(h.conn for h in earlier)]),
             daemon=True,
         )
         self.proc.start()
@@ -537,7 +544,7 @@ def run_program(program, *, shards: int = 1, trace: bool = False,
             import multiprocessing as mp
             ctx = mp.get_context("fork")
             for part in assignment:
-                handles.append(_ForkedShard(ctx, program, part, trace))
+                handles.append(_ForkedShard(ctx, program, part, trace, handles))
 
         for h in handles:
             h.post_setup()

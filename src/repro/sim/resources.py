@@ -80,10 +80,6 @@ class Resource:
         """Number of grants currently held."""
         return len(self._users)
 
-    @property
-    def queue_len(self) -> int:
-        return len(self._queue)
-
     def request(self, priority: int = 0) -> _Request:
         return _Request(self, priority)
 

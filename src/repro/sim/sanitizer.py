@@ -44,7 +44,7 @@ from .trace import TraceEvent
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Event
 
-__all__ = ["Sanitizer", "SanitizerError", "AUDIT_ENV_VAR", "sanitize_requested", "maybe_attach"]
+__all__ = ["Sanitizer", "SanitizerError", "sanitize_requested", "maybe_attach"]
 
 #: set to a non-empty value (other than "0") to attach a strict sanitizer
 #: to every system/experiment environment built by the harnesses
@@ -57,9 +57,14 @@ def sanitize_requested() -> bool:
 
 
 def maybe_attach(env: Environment) -> "Sanitizer | None":
-    """Attach a strict sanitizer to ``env`` iff ``REPRO_SANITIZE`` is set."""
+    """Attach a strict sanitizer to ``env`` iff ``REPRO_SANITIZE`` is set
+    and ``env`` has none yet (a runner that audits the Environment it
+    hands a harness attached one already); returns the env's sanitizer."""
     if not sanitize_requested():
         return None
+    for sink in env.tracer._sinks:
+        if isinstance(sink, Sanitizer):
+            return sink
     return Sanitizer().install(env)
 
 

@@ -12,26 +12,18 @@ Two snapshot flavors, one substrate:
   ``Program``) from t=0 to T, verifies state digests match the capture,
   then continues on the exact original timeline (``repro.sim.check``
   digests of the suffix are byte-identical to an unbroken run).
-
-:class:`~repro.snap.tree.SnapshotTree` composes replay snapshots into a
-time-travel debugger: snapshot, inject a fault, diff dirtied pages and
-module state, rewind, try a different fault.
 """
 
 from .layers import SnapshotLayer, SnapshotStack
 from .replay import ReplaySnapshot, restore_run, snapshot_run, straight_run
-from .state import SystemSnapshot, quiesce
-from .tree import SnapshotNode, SnapshotTree
+from .state import SystemSnapshot
 
 __all__ = [
     "SnapshotLayer",
     "SnapshotStack",
     "SystemSnapshot",
-    "quiesce",
     "ReplaySnapshot",
     "straight_run",
     "snapshot_run",
     "restore_run",
-    "SnapshotNode",
-    "SnapshotTree",
 ]

@@ -4,8 +4,8 @@ Python generators — the substance of every simulated process — cannot
 be pickled, so a mid-flight snapshot cannot serialize continuations
 directly.  Instead, a :class:`ReplaySnapshot` records the *recipe*: the
 deterministic :class:`~repro.scenarios.Program` (seed included), the
-virtual pause timestamp, the ordered history of mutation steps applied
-along the way, and content digests of all durable state at the pause.
+virtual pause timestamp, and content digests of all durable state at the
+pause.
 
 ``restore()`` rebuilds the in-flight processes by replaying the program
 from t=0 to the pause point (a suffix hasher arms exactly at T), then
@@ -23,7 +23,7 @@ automated determinism check prove the seam invisible.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 from ..errors import ReplayDivergence
 from ..scenarios.runner import LiveRun, RunOutcome, run_audited
@@ -49,26 +49,12 @@ def straight_run(program, *, strict: bool = True, arm_at_ns: Optional[int] = Non
 
 
 class ReplaySnapshot:
-    """A mid-flight snapshot: program + pause time + state digests.
+    """A mid-flight snapshot: program + pause time + state digests."""
 
-    ``history`` is the ordered list of ``(at_ns, mutate)`` steps applied
-    after ``drive()`` — the snapshot tree's branch edits.  ``mutate``
-    callables take the program ctx and must be deterministic; restore
-    replays them at the same virtual instants.
-    """
-
-    def __init__(
-        self,
-        program,
-        *,
-        time_ns: int,
-        state: SystemSnapshot,
-        history: Optional[list[tuple[int, Callable]]] = None,
-    ) -> None:
+    def __init__(self, program, *, time_ns: int, state: SystemSnapshot) -> None:
         self.program = program
         self.time_ns = time_ns
         self.state = state
-        self.history = list(history or [])
 
     # ------------------------------------------------------------------
     @classmethod
@@ -78,13 +64,12 @@ class ReplaySnapshot:
         ctx,
         env: Environment,
         *,
-        history: Optional[list[tuple[int, Callable]]] = None,
         tag: str = "replay",
     ) -> "ReplaySnapshot":
         """Capture the paused run's durable state (COW — the run may keep
         going; it pays copy-on-write for pages dirtied afterwards)."""
         state = SystemSnapshot.capture(program.target(ctx), tag=f"{tag}@{env.now}")
-        return cls(program, time_ns=env.now, state=state, history=history)
+        return cls(program, time_ns=env.now, state=state)
 
     # ------------------------------------------------------------------
     def restore(self, *, strict: bool = True, verify: bool = True) -> LiveRun:
@@ -98,7 +83,7 @@ class ReplaySnapshot:
         """
         wall_start = time.perf_counter()
         run = run_audited(self.program, strict=strict, arm_at_ns=self.time_ns)
-        run.pause(self.time_ns, self.history)
+        run.pause(self.time_ns)
         run.replay_wall_s = time.perf_counter() - wall_start
         if verify:
             mismatches = self.state.verify_against(self.program.target(run.ctx))

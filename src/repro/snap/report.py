@@ -8,7 +8,7 @@ verdicts over the :mod:`repro.sim.check` trace hash).
 
 Usage::
 
-    PYTHONPATH=src python -m repro.snap.report
+    PYTHONPATH=src python -m repro report snap
         [--scenario NAME]      # any catalogue entry with a serial form
         [--at NS] [--seed 0]
         [--json [PATH]] [--csv [PATH]] [--out PATH]
@@ -21,13 +21,12 @@ that.
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import Any, Sequence
 
 from ..scenarios import SCENARIOS, names_with
 from .replay import snapshot_run, straight_run
 
-__all__ = ["snapshot_report", "format_snapshot_report", "main"]
+__all__ = ["main"]
 
 CSV_HEADERS = ("deployment", "device", "resident_pages", "dirty_pages",
                "layers", "content_digest")
@@ -99,7 +98,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     from ..cli import Report, add_output_flags, emit
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.snap.report",
+        prog="python -m repro report snap",
         description="Snapshot size, dirtied pages, restore replay cost and "
                     "determinism verdicts for one program.",
     )
@@ -124,7 +123,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     if code == 0 and not all(data["verdicts"].values()):
         return 1
     return code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))

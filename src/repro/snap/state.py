@@ -23,7 +23,7 @@ from typing import Any, Optional
 from ..errors import SnapshotError
 from .layers import SnapshotLayer, SnapshotStack
 
-__all__ = ["SystemSnapshot", "DeviceCapture", "DeploymentCapture", "quiesce", "canonical_digest"]
+__all__ = ["SystemSnapshot"]
 
 #: BlockDevice counters that belong to durable deployment state
 _DEVICE_COUNTERS = (
@@ -250,7 +250,7 @@ class SystemSnapshot:
 
     # ------------------------------------------------------------------
     def state_digests(self) -> dict[str, str]:
-        """Per-component digests for replay verification and tree diffs."""
+        """Per-component digests (what a restore must reproduce)."""
         out: dict[str, str] = {}
         for name, dep in sorted(self.deployments.items()):
             for kind, dev in sorted(dep.devices.items()):
@@ -334,46 +334,6 @@ class SystemSnapshot:
             "rng_streams": len(self.rng_states),
             "devices": devices,
             "size_bytes": self.size_bytes(),
-        }
-
-    def diff(self, other: "SystemSnapshot") -> dict:
-        """What changed between two captures: per-device page deltas and
-        per-mod state changes (the time-travel debugger's currency)."""
-        pages: dict[str, dict] = {}
-        names = sorted(set(self.deployments) | set(other.deployments))
-        for name in names:
-            a = self.deployments.get(name)
-            b = other.deployments.get(name)
-            kinds = sorted(
-                (set(a.devices) if a else set()) | (set(b.devices) if b else set())
-            )
-            for kind in kinds:
-                da = a.devices.get(kind).page_digests if a and kind in a.devices else {}
-                db = b.devices.get(kind).page_digests if b and kind in b.devices else {}
-                changed = sorted(
-                    p for p in set(da) | set(db) if da.get(p) != db.get(p)
-                )
-                if changed:
-                    pages[f"{name}/{kind}"] = {
-                        "changed_pages": changed,
-                        "count": len(changed),
-                    }
-        mods: dict[str, str] = {}
-        for name in names:
-            a = self.deployments.get(name)
-            b = other.deployments.get(name)
-            da = a.mod_digests if a else {}
-            db = b.mod_digests if b else {}
-            for uuid in sorted(set(da) | set(db)):
-                if da.get(uuid) != db.get(uuid):
-                    mods[f"{name}/{uuid}"] = (
-                        "added" if uuid not in da else
-                        "removed" if uuid not in db else "changed"
-                    )
-        return {
-            "time_ns": (self.time_ns, other.time_ns),
-            "pages": pages,
-            "mods": mods,
         }
 
 

@@ -9,41 +9,29 @@ accounting and pluggable admission control.
 
 CLI::
 
-    python -m repro.traffic.report --load 2.0 --policy queue-depth
+    python -m repro report traffic --load 2.0 --policy queue-depth
 
 Experiment: ``repro.experiments.openloop`` (goodput vs offered load);
 determinism: the ``"openloop"`` scenario of ``python -m repro.sim.check``.
 """
 
-from .arrivals import ArrivalProcess, BurstyArrivals, DiurnalArrivals, PoissonArrivals
-from .engine import (
-    AdmissionPolicy,
-    OpenLoopEngine,
-    QueueDepthAdmission,
-    TenantQuotaAdmission,
-    TenantStats,
-)
+from .arrivals import BurstyArrivals, DiurnalArrivals, PoissonArrivals
+from .engine import OpenLoopEngine, QueueDepthAdmission
 from .keys import ZipfKeys
 from .presets import build_overload_engine, overload_tenants
-from .tenants import SCHEDULES, TenantSLO, TenantSpec
-from .ycsb import YCSB_MIXES, YcsbMix, YcsbWorkload
+from .tenants import TenantSLO, TenantSpec
+from .ycsb import YcsbMix, YcsbWorkload
 
 __all__ = [
-    "ArrivalProcess",
     "PoissonArrivals",
     "BurstyArrivals",
     "DiurnalArrivals",
     "ZipfKeys",
     "YcsbMix",
-    "YCSB_MIXES",
     "YcsbWorkload",
     "TenantSLO",
     "TenantSpec",
-    "SCHEDULES",
-    "AdmissionPolicy",
     "QueueDepthAdmission",
-    "TenantQuotaAdmission",
-    "TenantStats",
     "OpenLoopEngine",
     "build_overload_engine",
     "overload_tenants",

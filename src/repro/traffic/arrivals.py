@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-__all__ = ["ArrivalProcess", "PoissonArrivals", "BurstyArrivals", "DiurnalArrivals"]
+__all__ = ["PoissonArrivals", "BurstyArrivals", "DiurnalArrivals"]
 
 
 class ArrivalProcess:

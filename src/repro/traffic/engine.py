@@ -43,8 +43,7 @@ from ..sim.stats import LatencyRecorder
 from .arrivals import ArrivalProcess
 from .tenants import TenantSpec
 
-__all__ = ["AdmissionPolicy", "QueueDepthAdmission", "TenantQuotaAdmission",
-           "TenantStats", "OpenLoopEngine"]
+__all__ = ["QueueDepthAdmission", "OpenLoopEngine"]
 
 
 class AdmissionPolicy:
@@ -75,45 +74,6 @@ class QueueDepthAdmission(AdmissionPolicy):
 
     def __repr__(self) -> str:
         return f"<QueueDepthAdmission max_inflight={self.max_inflight}>"
-
-
-class TenantQuotaAdmission(AdmissionPolicy):
-    """Per-tenant in-flight quotas, with an optional engine-wide ceiling.
-
-    Admission isolation: one tenant's burst can only fill its own quota,
-    never the whole admission budget — the noisy-neighbour knob the
-    control daemon retunes per tenant (``set_quota`` is the actuator
-    seam; see :mod:`repro.ctl`)."""
-
-    name = "tenant-quota"
-
-    def __init__(self, quotas: dict[str, int] | None = None, *,
-                 default: int = 64, max_inflight: int | None = None) -> None:
-        if default <= 0:
-            raise ValueError(f"default quota must be positive, got {default}")
-        self.quotas = dict(quotas or {})
-        for tenant, q in self.quotas.items():
-            if q <= 0:
-                raise ValueError(f"quota for {tenant!r} must be positive, got {q}")
-        self.default = int(default)
-        self.max_inflight = max_inflight
-
-    def quota(self, tenant: str) -> int:
-        return self.quotas.get(tenant, self.default)
-
-    def set_quota(self, tenant: str, quota: int) -> None:
-        if quota <= 0:
-            raise ValueError(f"quota for {tenant!r} must be positive, got {quota}")
-        self.quotas[tenant] = int(quota)
-
-    def admit(self, engine: "OpenLoopEngine", tenant: "_Tenant") -> bool:
-        if self.max_inflight is not None and engine.inflight >= self.max_inflight:
-            return False
-        return tenant.inflight < self.quota(tenant.spec.name)
-
-    def __repr__(self) -> str:
-        return (f"<TenantQuotaAdmission default={self.default} "
-                f"quotas={self.quotas} max_inflight={self.max_inflight}>")
 
 
 class TenantStats:

@@ -7,7 +7,7 @@ SLO verdict — from the engine's accounting (which itself mirrors into the
 
 Usage::
 
-    PYTHONPATH=src python -m repro.traffic.report
+    PYTHONPATH=src python -m repro report traffic
         [--duration-ms 2.0] [--load 1.0]
         [--policy none|queue-depth] [--max-inflight 24]
         [--seed 0] [--json [PATH]] [--csv [PATH]] [--out PATH]
@@ -22,7 +22,6 @@ table; ``--out`` redirects the plain-text report).
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import Any, Sequence
 
 from ..units import msec
@@ -80,7 +79,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     from ..cli import Report, add_output_flags, emit
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.traffic.report",
+        prog="python -m repro report traffic",
         description="Open-loop tenant traffic with per-tenant SLO accounting.",
     )
     parser.add_argument("--duration-ms", type=float, default=2.0,
@@ -119,7 +118,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     ))
     system.shutdown()
     return code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))

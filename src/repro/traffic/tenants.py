@@ -21,7 +21,7 @@ from typing import Any
 
 from .arrivals import ArrivalProcess, BurstyArrivals, DiurnalArrivals, PoissonArrivals
 
-__all__ = ["TenantSLO", "TenantSpec", "SCHEDULES"]
+__all__ = ["TenantSLO", "TenantSpec"]
 
 SCHEDULES = {
     "poisson": PoissonArrivals,

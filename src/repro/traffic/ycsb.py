@@ -26,7 +26,7 @@ import numpy as np
 from ..mods.generic_kvs import GenericKVS
 from .keys import ZipfKeys
 
-__all__ = ["YcsbMix", "YCSB_MIXES", "YcsbWorkload"]
+__all__ = ["YcsbMix", "YcsbWorkload"]
 
 
 @dataclass(frozen=True)

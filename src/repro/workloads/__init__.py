@@ -1,18 +1,10 @@
 """Workload generators reproducing the paper's evaluation drivers."""
 
-from .filebench import PERSONALITIES, FilebenchResult, run_personality
+from .filebench import PERSONALITIES, run_personality
 from .fio import FioJob, FioResult, LabStackEngine, RawDeviceEngine, run_fio
 from .fsapi import FsApi, GenericFsAdapter, KernelFsAdapter
-from .fxmark import FxmarkResult, run_create, run_rename, run_unlink
-from .labios import LabiosResult, run_labios_fs, run_labios_kvs
-from .replay import (
-    RecordingApi,
-    ReplayResult,
-    TraceOp,
-    load_trace,
-    replay_trace,
-    save_trace,
-)
+from .fxmark import run_create
+from .labios import run_labios_fs, run_labios_kvs
 from .vpic import VpicConfig, run_bdcats, run_vpic
 
 __all__ = [
@@ -24,22 +16,11 @@ __all__ = [
     "FsApi",
     "KernelFsAdapter",
     "GenericFsAdapter",
-    "FxmarkResult",
     "run_create",
-    "run_unlink",
-    "run_rename",
-    "FilebenchResult",
     "PERSONALITIES",
     "run_personality",
-    "LabiosResult",
     "run_labios_fs",
     "run_labios_kvs",
-    "TraceOp",
-    "RecordingApi",
-    "ReplayResult",
-    "save_trace",
-    "load_trace",
-    "replay_trace",
     "VpicConfig",
     "run_vpic",
     "run_bdcats",

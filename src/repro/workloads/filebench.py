@@ -25,7 +25,7 @@ import numpy as np
 from ..sim import Environment
 from ..units import KiB, MiB, sec
 
-__all__ = ["FilebenchResult", "run_personality", "PERSONALITIES"]
+__all__ = ["run_personality", "PERSONALITIES"]
 
 
 @dataclass

@@ -23,7 +23,7 @@ from ..kernel.interfaces import IoInterface
 from ..sim import Environment, LatencyRecorder
 from ..units import sec
 
-__all__ = ["BlockEngine", "RawDeviceEngine", "LabStackEngine", "FioJob", "FioResult", "run_fio"]
+__all__ = ["RawDeviceEngine", "LabStackEngine", "FioJob", "FioResult", "run_fio"]
 
 
 class BlockEngine(Protocol):

@@ -2,8 +2,8 @@
 
 The paper's Fig 7 uses FxMark's file-creation stress (each thread creates
 files in a private directory) to expose metadata-path scaling.  We
-implement the same MWCL-style pattern plus a rename and an unlink
-variant, over the uniform :mod:`repro.workloads.fsapi` adapter.
+implement the same MWCL-style pattern over the uniform
+:mod:`repro.workloads.fsapi` adapter.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from ..sim import Environment
 from ..units import sec
 
-__all__ = ["FxmarkResult", "run_create", "run_unlink", "run_rename"]
+__all__ = ["run_create"]
 
 
 @dataclass
@@ -45,52 +45,3 @@ def run_create(env: Environment, fsapi_factory, nthreads: int, files_per_thread:
     env.run(env.all_of(procs))
     return FxmarkResult(ops=total, elapsed_ns=env.now - start, nthreads=nthreads)
 
-
-def run_unlink(env: Environment, fsapi_factory, nthreads: int, files_per_thread: int) -> FxmarkResult:
-    """Create then unlink; the reported window covers only the unlinks."""
-    apis = [fsapi_factory(t) for t in range(nthreads)]
-
-    def creator(tid: int, api):
-        for i in range(files_per_thread):
-            fd = yield from api.open(f"/u{tid}/f{i}", create=True)
-            yield from api.close(fd)
-
-    procs = [env.process(creator(t, api)) for t, api in enumerate(apis)]
-    env.run(env.all_of(procs))
-
-    def remover(tid: int, api):
-        for i in range(files_per_thread):
-            yield from api.unlink(f"/u{tid}/f{i}")
-
-    start = env.now
-    procs = [env.process(remover(t, api)) for t, api in enumerate(apis)]
-    env.run(env.all_of(procs))
-    return FxmarkResult(ops=nthreads * files_per_thread, elapsed_ns=env.now - start,
-                        nthreads=nthreads)
-
-
-def run_rename(env: Environment, fsapi_factory, nthreads: int, files_per_thread: int) -> FxmarkResult:
-    """Create then rename within the private directory."""
-    apis = [fsapi_factory(t) for t in range(nthreads)]
-
-    def creator(tid: int, api):
-        for i in range(files_per_thread):
-            fd = yield from api.open(f"/r{tid}/f{i}", create=True)
-            yield from api.close(fd)
-
-    procs = [env.process(creator(t, api)) for t, api in enumerate(apis)]
-    env.run(env.all_of(procs))
-
-    def renamer(tid: int, api):
-        for i in range(files_per_thread):
-            # both adapters expose rename through the underlying object
-            if hasattr(api, "gfs"):
-                yield from api.gfs.rename(api._p(f"/r{tid}/f{i}"), api._p(f"/r{tid}/g{i}"))
-            else:
-                yield api.env.process(api.fs.rename(f"/r{tid}/f{i}", f"/r{tid}/g{i}"))
-
-    start = env.now
-    procs = [env.process(renamer(t, api)) for t, api in enumerate(apis)]
-    env.run(env.all_of(procs))
-    return FxmarkResult(ops=nthreads * files_per_thread, elapsed_ns=env.now - start,
-                        nthreads=nthreads)

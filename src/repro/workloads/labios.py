@@ -16,7 +16,7 @@ from ..mods.generic_kvs import GenericKVS
 from ..sim import Environment
 from ..units import sec
 
-__all__ = ["LabiosResult", "run_labios_fs", "run_labios_kvs"]
+__all__ = ["run_labios_fs", "run_labios_kvs"]
 
 
 @dataclass

@@ -85,22 +85,6 @@ def test_disconnect_idempotent_and_unregisters():
     assert qid not in sys_.runtime.ipc.qps
 
 
-def test_runtime_config_from_yaml():
-    cfg = RuntimeConfig.from_yaml(
-        """
-nworkers: 4
-policy: dynamic
-max_workers: 12
-worker_idle_sleep_ns: 100000
-unknown_future_key: ignored
-"""
-    )
-    assert cfg.nworkers == 4
-    assert cfg.policy == "dynamic"
-    assert cfg.max_workers == 12
-    assert cfg.worker_idle_sleep_ns == 100_000
-
-
 def test_runtime_config_bad_policy():
     env = Environment()
     with pytest.raises(LabStorError, match="policy"):

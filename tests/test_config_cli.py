@@ -126,6 +126,22 @@ class TestSharedReportCli:
                 mod.main(["--definitely-not-a-flag"])
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize("kind", ["obs", "traffic", "faults", "snap", "ctl",
+                                      "inventory", "no-such-report"])
+    def test_every_report_kind_is_one_entry_point(self, capsys, kind):
+        """The unified seam: ``python -m repro report <kind>`` reaches every
+        report CLI, each parses the shared output flags, and a usage error
+        is argparse's exit 2 (the historical code)."""
+        from repro.__main__ import REPORTS, main
+
+        assert sorted(REPORTS) == sorted(
+            ["obs", "traffic", "faults", "snap", "ctl", "inventory"])
+        with pytest.raises(SystemExit) as exc:
+            main(["report", kind, "--json", "-", "--definitely-not-a-flag"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert ("unrecognized arguments" if kind in REPORTS else "invalid choice") in err
+
     @pytest.mark.parametrize("argv", [["fig66"], ["--lisst"], ["fig6", "--proceses", "1"]])
     def test_experiments_cli_rejects_unknown_flags_and_names(self, capsys, argv):
         """``python -m repro.experiments --lisst`` used to drop every

@@ -63,7 +63,7 @@ def test_smoke_point_is_a_member_of_the_figures_parameter_space(name):
 
 def test_smoke_points_cover_the_papers_figures():
     assert WITH_SMOKE == [
-        "anatomy", "table1", "fig5a", "fig5b", "fig6", "fig7", "fig8", "fig9a",
+        "anatomy", "anatomy-read", "table1", "fig5a", "fig5b", "fig6", "fig7", "fig8", "fig9a",
         "fig9b", "fig9c", "ablation-allocator", "ablation-ipc-cost",
         "ablation-exec-mode", "ablation-consistency", "ablation-cache-capacity",
     ]

@@ -229,14 +229,6 @@ def test_on_connect_callback_fires():
     assert seen == [9]
 
 
-def test_intermediate_qp_cheaper_hop():
-    env = Environment()
-    ipc = IpcManager(env)
-    qp = ipc.make_intermediate_qp()
-    assert not qp.primary
-    assert qp.pop_cost_ns < ipc.cost.shm_hop_ns
-
-
 def test_unknown_qid():
     env = Environment()
     ipc = IpcManager(env)

@@ -1,12 +1,10 @@
-"""Tests for LabFS directories and the PrefetchMod."""
+"""Tests for LabFS directories."""
 
 import pytest
 
-from repro.core import NodeSpec
 from repro.errors import FsError
 from repro.mods.generic_fs import GenericFS
 from repro.system import LabStorSystem
-from repro.units import KiB
 
 
 def make(variant="min", **stack_kw):
@@ -153,74 +151,3 @@ def test_state_repair_rebuilds_directory_tree():
     listing, data = run(sys_, proc())
     assert listing == ["b", "two"]
     assert data == b"1"
-
-
-# --- prefetcher --------------------------------------------------------------
-def _mount_with_prefetch(sys_):
-    spec = sys_.stack("fs::/p").fs(variant="min").build()
-    fs_node = next(n for n in spec.nodes if n.uuid.endswith("labfs"))
-    node = NodeSpec(mod_name="PrefetchMod", uuid="pf0", attrs={"window": 64 * KiB})
-    node.outputs = list(fs_node.outputs)
-    fs_node.outputs = ["pf0"]
-    spec.nodes.insert(spec.nodes.index(fs_node) + 1, node)
-    return sys_.runtime.mount_stack(spec)
-
-
-def test_prefetcher_detects_sequential_stream():
-    sys_ = LabStorSystem(devices=("nvme",))
-    _mount_with_prefetch(sys_)
-    gfs = GenericFS(sys_.client())
-
-    def proc():
-        yield from gfs.write_file("fs::/p/big", b"s" * (512 * KiB))
-        lru = sys_.runtime.registry.get(
-            next(u for u in sys_.runtime.registry.uuids() if u.endswith("lru")))
-        lru.pages.clear()
-        fd = yield from gfs.open("fs::/p/big")
-        for i in range(16):
-            yield from gfs.read(fd, 16 * KiB, offset=i * 16 * KiB)
-        yield sys_.env.timeout(1_000_000)  # let background prefetches land
-
-    run(sys_, proc())
-    pf = sys_.runtime.registry.get("pf0")
-    assert pf.prefetches >= 1
-
-
-def test_prefetcher_speeds_up_sequential_cold_reads():
-    def seq_read_time(prefetch: bool):
-        sys_ = LabStorSystem(devices=("nvme",))
-        if prefetch:
-            _mount_with_prefetch(sys_)
-        else:
-            sys_.mount_fs_stack("fs::/p", variant="min")
-        gfs = GenericFS(sys_.client())
-
-        def proc():
-            yield from gfs.write_file("fs::/p/big", b"s" * (512 * KiB))
-            lru = sys_.runtime.registry.get(
-                next(u for u in sys_.runtime.registry.uuids() if u.endswith("lru")))
-            lru.pages.clear()
-            fd = yield from gfs.open("fs::/p/big")
-            start = sys_.env.now
-            for i in range(32):
-                yield from gfs.read(fd, 16 * KiB, offset=i * 16 * KiB)
-            return sys_.env.now - start
-
-        return sys_.run(sys_.process(proc()))
-
-    assert seq_read_time(True) < seq_read_time(False)
-
-
-def test_prefetcher_ignores_random_reads():
-    sys_ = LabStorSystem(devices=("nvme",))
-    _mount_with_prefetch(sys_)
-    gfs = GenericFS(sys_.client())
-
-    def proc():
-        yield from gfs.write_file("fs::/p/r", b"r" * (256 * KiB))
-        fd = yield from gfs.open("fs::/p/r")
-        for off in (0, 128 * KiB, 32 * KiB, 192 * KiB, 64 * KiB):
-            yield from gfs.read(fd, 4 * KiB, offset=off)
-
-    run(sys_, proc())
-    assert sys_.runtime.registry.get("pf0").prefetches == 0

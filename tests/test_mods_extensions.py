@@ -1,12 +1,11 @@
-"""Tests for ConsistencyMod, IoStatsMod and the allocator baseline."""
+"""Tests for ConsistencyMod and the allocator baseline."""
 
 import pytest
 
-from repro.core import LabRequest, NodeSpec, UpgradeRequest
+from repro.core import NodeSpec
 from repro.errors import LabStorError, OutOfSpaceError
 from repro.mods.consistency import ConsistencyMod
 from repro.mods.generic_fs import GenericFS
-from repro.mods.iostats import IoStatsMod
 from repro.mods.labfs.alloc import CentralizedBlockAllocator
 from repro.sim import Environment
 from repro.system import LabStorSystem
@@ -98,44 +97,6 @@ def test_consistency_state_survives_upgrade():
     new = sys_.runtime.registry.hot_swap("cons4", ConsistencyModV2)
     assert new.policy == "relaxed"
     assert new.version == 2
-
-
-# --- IoStatsMod -----------------------------------------------------------
-def test_iostats_records_per_op_latency():
-    sys_ = LabStorSystem(devices=("nvme",))
-    _mount_with_insert(sys_, "fs::/m", "IoStatsMod", "stats0")
-    gfs = GenericFS(sys_.client())
-
-    def proc():
-        yield from gfs.write_file("fs::/m/a", b"d" * 8192)
-        yield from gfs.read_file("fs::/m/a")
-
-    sys_.run(sys_.process(proc()))
-    stats = sys_.runtime.registry.get("stats0")
-    report = stats.report()
-    assert "blk.write" in report and "blk.read" in report
-    assert report["blk.write"]["count"] >= 1
-    assert report["blk.write"]["mean"] > 0
-    assert stats.bytes_moved >= 8192
-
-
-def test_iostats_learned_estimate_converges():
-    sys_ = LabStorSystem(devices=("nvme",))
-    _mount_with_insert(sys_, "fs::/e", "IoStatsMod", "stats1")
-    gfs = GenericFS(sys_.client())
-    stats = sys_.runtime.registry.get("stats1")
-    req = LabRequest(op="blk.write", payload={"offset": 0, "size": 4096, "data": b"x" * 4096})
-    assert stats.est_processing_time(req) == 1000  # default before learning
-
-    def proc():
-        fd = yield from gfs.open("fs::/e/f", create=True)
-        for i in range(8):
-            yield from gfs.write(fd, b"x" * 4096, offset=i * 4096)
-
-    sys_.run(sys_.process(proc()))
-    learned = stats.est_processing_time(req)
-    # downstream of IoStats: sched + driver + nvme 4KB write ~ 16-22us
-    assert 10_000 < learned < 40_000
 
 
 # --- CentralizedBlockAllocator ----------------------------------------------

@@ -10,9 +10,8 @@ import pytest
 
 from repro.cluster import cluster
 from repro.errors import LabStorError
-from repro.scenarios import SCENARIOS, names_with
+from repro.scenarios import names_with
 from repro.scenarios.cluster import ClusterParProgram
-from repro.scenarios.e14 import E14ParProgram
 from repro.sim import Environment
 from repro.sim.core import SimulationError
 from repro.sim.par import merge_digest, run_program
@@ -24,18 +23,20 @@ PAR = names_with("par")
 
 @pytest.mark.parametrize("scenario", PAR)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_merged_digest_shard_invariant(scenario, seed):
-    # every seed at shards 1/2; shards=4 (the slowest run) at seed 0 only
-    runs = {
-        shards: run_program(SCENARIOS[scenario].par(seed), shards=shards, trace=True)
-        for shards in ((1, 2, 4) if seed == 0 else (1, 2))
-    }
-    base = runs.pop(1)
+def test_merged_digest_shard_invariant(scenario, seed, profiled, par_run):
+    # every seed at shards 1/2; shards=4 (the slowest run) at seed 0 only,
+    # whose shards=1 baseline is the entry's profiled run (reach-map pin)
+    base = (profiled[f"{scenario}@par"][0] if seed == 0
+            else par_run(scenario, seed, 1))
+    runs = {shards: par_run(scenario, seed, shards)
+            for shards in ((2, 4) if seed == 0 else (2,))}
     assert base.merged_events > 0, "scenario produced no trace events"
     for shards, res in runs.items():
         assert res.merged_events == base.merged_events
         assert res.digest == base.digest, (
             f"{scenario} seed={seed}: shards={shards} digest diverged from serial")
+        assert res.reduced == base.reduced, (
+            f"{scenario} seed={seed}: shards={shards} results diverged from serial")
 
 
 def test_power_cut_nacks_across_barrier():
@@ -53,20 +54,6 @@ def test_power_cut_nacks_across_barrier():
     assert r["failovers"] > 0, "power cut never forced a failover"
     assert r["nacks"] > 0, "no NACK ever crossed a barrier"
     assert not forked.results["b"]["online"], "power cut never fired"
-
-
-def test_e14_program_digest_and_results_shard_invariant():
-    base = None
-    for shards in (1, 2, 4):
-        res = run_program(
-            E14ParProgram(3, nnodes=4, nclients=24, ops_per_client=6),
-            shards=shards, trace=True)
-        snap = (res.digest, res.merged_events, res.reduced["kops_s"],
-                res.reduced["remote_calls"])
-        if base is None:
-            base = snap
-        else:
-            assert snap == base, f"shards={shards} diverged from serial"
 
 
 def test_until_window_semantics():

@@ -1,10 +1,8 @@
-"""Replayed traces and fio iodepth fan-out against the batching fast path.
+"""fio iodepth fan-out against the batching fast path.
 
-A recorded application trace replayed against a batched system (worker
-batch-pop + BatchSchedMod + device coalescing) must land exactly the
-bytes the unbatched replay lands; fio at iodepth>1 keeps several client
-requests in flight at once, which exercises the worker's batch-pop and
-the batch CQ reap without ever violating queue-pair conservation.
+fio at iodepth>1 keeps several client requests in flight at once, which
+exercises the worker's batch-pop and the batch CQ reap without ever
+violating queue-pair conservation.
 """
 
 import pytest
@@ -12,81 +10,10 @@ import pytest
 from repro.core.labstack import StackSpec
 from repro.core.runtime import RuntimeConfig
 from repro.devices.profiles import DeviceSpec
-from repro.mods.generic_fs import GenericFS
 from repro.system import LabStorSystem
 from repro.workloads.fio import FioJob, LabStackEngine, run_fio
-from repro.workloads.fsapi import GenericFsAdapter
-from repro.workloads.replay import RecordingApi, load_trace, replay_trace, save_trace
 
 PAGE = 4096
-
-
-def _fs_system(batched: bool):
-    if batched:
-        system = LabStorSystem(
-            devices=(DeviceSpec("nvme", coalesce_max=8, coalesce_window_ns=2000),),
-            config=RuntimeConfig(nworkers=1, worker_batch_max=8),
-        )
-        (system.stack("fs::/r")
-         .fs(variant="all")
-         .sched("BatchSchedMod", window_ns=10_000, batch_max=8)
-         .mount())
-    else:
-        system = LabStorSystem(devices=("nvme",), config=RuntimeConfig(nworkers=1))
-        system.stack("fs::/r").fs(variant="all").mount()
-    return system
-
-
-def _record_trace() -> str:
-    """Record a small two-thread workload against a plain system."""
-    system = _fs_system(batched=False)
-    ops = []
-
-    def thread(tid: int):
-        api = RecordingApi(GenericFsAdapter(GenericFS(system.client()), "fs::/r"),
-                           tid=tid)
-        fd = yield from api.open(f"/t{tid}", create=True)
-        for i in range(12):
-            yield from api.write(fd, bytes([tid * 32 + i + 1]) * PAGE, offset=i * PAGE)
-        yield from api.fsync(fd)
-        yield from api.read(fd, 12 * PAGE, offset=0)
-        yield from api.close(fd)
-        ops.extend(api.ops)
-
-    procs = [system.process(thread(t)) for t in range(2)]
-    system.run(system.env.all_of(procs))
-    return save_trace(ops)
-
-
-def _replay(trace_text: str, batched: bool):
-    system = _fs_system(batched)
-    gfs_cache: dict[int, GenericFsAdapter] = {}
-
-    def factory(tid: int) -> GenericFsAdapter:
-        if tid not in gfs_cache:
-            gfs_cache[tid] = GenericFsAdapter(GenericFS(system.client()), "fs::/r")
-        return gfs_cache[tid]
-
-    result = replay_trace(system.env, factory, load_trace(trace_text), seed=42)
-
-    def read_back():
-        gfs = GenericFS(system.client())
-        out = []
-        for tid in range(2):
-            out.append((yield from gfs.read_file(f"fs::/r/t{tid}")))
-        return out
-
-    contents = system.run(system.process(read_back()))
-    return result, contents
-
-
-def test_replay_batched_matches_unbatched():
-    trace_text = _record_trace()
-    base_result, base_contents = _replay(trace_text, batched=False)
-    fast_result, fast_contents = _replay(trace_text, batched=True)
-    assert fast_result.errors == 0 and base_result.errors == 0
-    assert fast_result.ops == base_result.ops
-    assert fast_contents == base_contents, "replayed file contents diverged"
 
 
 @pytest.mark.parametrize("iodepth", [2, 4])

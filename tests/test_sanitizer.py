@@ -73,6 +73,27 @@ def test_idle_device_dispatch_loops_are_not_leaks():
     assert san.finish()["violations"] == []
 
 
+def test_runner_env_under_repro_sanitize_carries_one_sanitizer(monkeypatch):
+    """The experiment runner attaches the ``REPRO_SANITIZE`` sanitizer to
+    the Environment it hands a point; the LabStorSystem the point builds
+    on it must reuse that one, not add a second sink."""
+    from repro.experiments import runner
+
+    envs = []
+
+    class Recording(Environment):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            envs.append(self)
+
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    monkeypatch.setattr(runner, "Environment", Recording)
+    exp = runner.EXPERIMENTS["anatomy"]  # a LabStor stack: LabStorSystem on the env
+    runner.run_experiment(exp, grid=[exp.smoke], processes=1)
+    (env,) = envs
+    assert sum(isinstance(s, Sanitizer) for s in env.tracer._sinks) == 1
+
+
 def test_swallowed_failure_detected_at_teardown():
     env = Environment()
     san = Sanitizer(strict=False).install(env)

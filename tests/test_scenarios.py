@@ -10,7 +10,7 @@ import pytest
 
 from repro.scenarios import SCENARIOS, run_scenario
 from repro.sim.check import TraceHasher
-from repro.sim.par import TraceCollector, merge_digest, run_program
+from repro.sim.par import TraceCollector, merge_digest
 from repro.sim.trace import TraceEvent
 
 #: scenario-specific facts the double run must also show
@@ -24,15 +24,18 @@ EXPECT = {
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))
-def test_every_scenario_is_deterministic(name):
+def test_every_scenario_is_deterministic(name, profiled, par_run):
+    """Run one is the entry's profiled run (shared with the reach-map
+    pin), run two a plain one: profiling must not move a digest either."""
     entry = SCENARIOS[name]
     if entry.serial is None and entry.point is None:
-        # par-only: the double run is two shards=1 runs
-        a, b = (run_program(entry.par(0), shards=1, trace=True) for _ in range(2))
+        # par-only: run two is the shard-invariance test's shards=2 run
+        a = profiled[f"{name}@par"][0]
+        b = par_run(name, 0, 2)
         assert a.digest == b.digest
         assert a.merged_events == b.merged_events > 0
         return
-    a, b = run_scenario(name), run_scenario(name)
+    a, b = profiled[name][0], run_scenario(name)
     assert a.digest == b.digest
     assert a.report["violations"] == [] and b.report["violations"] == []
     assert a.trace_events == b.trace_events > 0
@@ -43,15 +46,15 @@ def test_every_scenario_is_deterministic(name):
 def test_catalogue_has_every_known_scenario():
     assert list(SCENARIOS) == [
         "quickstart", "orchestration", "kvs", "faults", "batching",
-        "openloop", "cluster", "control", "upgrade_under_load", "e14",
+        "openloop", "cluster", "control", "upgrade_under_load", "e14", "zns",
         # the paper's figures: each experiment's smoke point
-        "anatomy", "table1", "fig5a", "fig5b", "fig6", "fig7", "fig8",
+        "anatomy", "anatomy-read", "table1", "fig5a", "fig5b", "fig6", "fig7", "fig8",
         "fig9a", "fig9b", "fig9c", "ablation-allocator", "ablation-ipc-cost",
         "ablation-exec-mode", "ablation-consistency", "ablation-cache-capacity",
     ]
     assert all(s.serial or s.par or s.point for s in SCENARIOS.values())
     # a point form has no pause point: the snapshot tests' serial list is
-    # the ten extension scenarios' nine, untouched
+    # the eleven extension scenarios' ten
     assert not any(s.point and (s.serial or s.par) for s in SCENARIOS.values())
 
 

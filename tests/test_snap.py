@@ -1,23 +1,20 @@
-"""repro.snap unit tests: COW layers, system snapshots, the snapshot
-tree, and the S1 BackingStore discard/digest fixes."""
+"""repro.snap unit tests: COW layers, system snapshots, and the S1
+BackingStore discard/digest fixes."""
 
 import pickle
-from types import SimpleNamespace
 
 import pytest
 
 from repro.devices.backing import PAGE_SIZE, BackingStore, digest_page
 from repro.errors import ReplayDivergence, SnapshotError
-from repro.scenarios import Program
 from repro.scenarios.batching import BatchingProgram
 from repro.snap import (
     SnapshotLayer,
     SnapshotStack,
-    SnapshotTree,
     SystemSnapshot,
     snapshot_run,
+    straight_run,
 )
-from repro.units import msec, usec
 
 CAP = 64 * PAGE_SIZE
 
@@ -222,180 +219,27 @@ class TestSystemSnapshot:
         assert back.state_digests() == snap.state_digests()
         sys_.shutdown()
 
-    def test_diff_reports_pages_dirtied_after_capture(self):
-        from repro.mods.generic_kvs import GenericKVS
-
-        sys_, kvs, snap = self._run_and_capture()
-
-        def more():
-            yield from kvs.put("extra", b"Z" * 5000)
-
-        sys_.run(sys_.process(more()))
-        snap2 = SystemSnapshot.capture(sys_, tag="t1")
-        d = snap.diff(snap2)
-        assert any(v["changed_pages"] for v in d["pages"].values())
-        sys_.shutdown()
-
     def test_capture_does_not_perturb_digest(self):
         """The core COW property at system level: capturing between two
         env.run calls injects zero events."""
         out, _snap = snapshot_run(BatchingProgram())
-        from repro.snap import straight_run
-
         base = straight_run(BatchingProgram())
         assert out.digest == base.digest
         assert out.result == base.result
 
 
 # ----------------------------------------------------------------------
-# snapshot tree
+# ReplaySnapshot: the restore seam refuses what it cannot honour
 # ----------------------------------------------------------------------
-class TestSnapshotTree:
-    def test_plant_branch_rewind_diff(self):
-        tree = SnapshotTree(BatchingProgram())
-        root = tree.plant(label="root")
-        a = tree.branch(root, label="a", run_ns=100_000)
-        b = tree.branch(root, label="b", run_ns=200_000)
-        assert root.children == [a, b]
-        assert a.time_ns == root.time_ns + 100_000
-        assert b.path() == [root, b]
-        # rewinding a branch must verify byte-identical replayed state
-        restored = tree.rewind(a)
-        assert restored.env.now == a.time_ns
-        d = tree.diff(root, b)
-        assert "pages" in d and "mods" in d
-        s = tree.summary()
-        assert s["nodes"] == 3 and s["leaves"] == 2
-
-    def test_branch_past_completion_rejected(self):
-        tree = SnapshotTree(BatchingProgram())
-        root = tree.plant()
-        with pytest.raises(SnapshotError, match="completion"):
-            tree.branch(root, label="too-far", run_ns=10**9)
-
-    def test_rewind_detects_divergent_state(self):
-        tree = SnapshotTree(BatchingProgram())
-        root = tree.plant()
+class TestReplaySnapshot:
+    def test_restore_detects_divergent_state(self):
+        _out, snap = snapshot_run(BatchingProgram())
         # corrupt the captured digest ledger: restore must refuse
-        cap = next(iter(root.snapshot.state.deployments.values()))
-        dev = cap.devices["nvme"]
-        dev.content_digest = "0" * 64
+        cap = next(iter(snap.state.deployments.values()))
+        cap.devices["nvme"].content_digest = "0" * 64
         with pytest.raises(ReplayDivergence):
-            tree.rewind(root)
+            snap.restore()
 
-
-# ----------------------------------------------------------------------
-# snapshot tree × crash-consistency audit (time-travel debugging)
-# ----------------------------------------------------------------------
-class _AuditFsProgram(Program):
-    """Test-local FS workload with NO baked-in faults: power cuts are
-    injected per tree branch, then every node is audited after rewind."""
-
-    default_pause_ns = int(msec(0.5))
-    NFILES = 56
-
-    def build(self, env):
-        from repro.faults import CrashConsistencyChecker, RetryPolicy
-        from repro.mods.generic_fs import GenericFS
-        from repro.system import LabStorSystem
-
-        system = LabStorSystem(env=env, seed=self.seed, devices=("nvme",))
-        system.mount_fs_stack("fs::/audit", variant="min")
-        retry = RetryPolicy(max_attempts=6, timeout_ns=int(msec(50)))
-        gfs = GenericFS(system.client(), retry=retry)
-        return SimpleNamespace(
-            system=system, gfs=gfs, checker=CrashConsistencyChecker(),
-        )
-
-    def drive(self, ctx):
-        system, gfs, checker = ctx.system, ctx.gfs, ctx.checker
-        env = system.env
-
-        def go():
-            acked = 0
-            for i in range(self.NFILES):
-                path = f"fs::/audit/f{i}"
-                data = bytes([(i + 1) % 251]) * 4096
-                checker.begin(path, data)
-                try:
-                    yield from gfs.write_file(path, data)
-                except Exception:  # noqa: BLE001 - injected cut: move on
-                    continue
-                checker.ack(path)
-                acked += 1
-                yield env.timeout(int(usec(40)))  # spread the write stream
-            # idle tail: branches need the run still alive to grow from
-            yield env.timeout(int(msec(60)))
-            return acked
-
-        return system.process(go())
-
-    def finish(self, ctx, value):
-        report = ctx.system.run(ctx.system.process(ctx.checker.verify(ctx.gfs)))
-        return {"acked": value, "consistency": report}
-
-
-class _InstallFaults:
-    """Deterministic branch mutation: replays identically on every
-    later rewind of the branched node."""
-
-    def __init__(self, plan: str) -> None:
-        self.plan = plan
-
-    def __call__(self, ctx) -> None:
-        ctx.system.install_faults(self.plan)
-
-
-def _ledger(restored):
-    return {"checker": restored.ctx.checker.export_state()}
-
-
-class TestSnapshotTreeCrashAudit:
-    # covers cut offset + restart_after + the 5ms restart exec window
-    RUN_NS = int(msec(7.0))
-
-    @staticmethod
-    def _cut(node):
-        at = node.time_ns + int(usec(200))
-        return _InstallFaults(
-            f"power_cut:at={at},restart_after={int(usec(300))}")
-
-    def test_audit_every_node_after_branched_power_cuts(self):
-        from repro.faults import CrashConsistencyChecker
-
-        tree = SnapshotTree(_AuditFsProgram())
-        root = tree.plant(label="pristine")
-        a = tree.branch(root, label="cut", run_ns=self.RUN_NS,
-                        mutate=self._cut(root), meta_fn=_ledger)
-        torn_at = root.time_ns + int(usec(200))
-        b = tree.branch(
-            root, label="torn+cut", run_ns=self.RUN_NS,
-            mutate=_InstallFaults(
-                f"torn_write:at={torn_at},device=nvme,op=write;"
-                f"power_cut:at={torn_at},restart_after={int(usec(300))}"),
-            meta_fn=_ledger)
-        a2 = tree.branch(a, label="cut-again", run_ns=self.RUN_NS,
-                         mutate=self._cut(a), meta_fn=_ledger)
-        assert tree.summary()["nodes"] == 4
-
-        def checker_of(node, ctx):
-            if "checker" in node.meta:
-                return CrashConsistencyChecker.load_state(node.meta["checker"])
-            return ctx.checker  # root: the replayed ledger is the live one
-
-        # the audit rewinds every node (replaying each branch's injected
-        # cuts) and verifies prefix consistency of the recovered namespace
-        reports = tree.audit_crash_consistency(checker_of, lambda ctx: ctx.gfs)
-        assert set(reports) == {n.id for n in tree.walk()}
-        assert all(r["acked_ok"] >= 1 for r in reports.values())
-        # acked only grows down an edge: every branch replays its parent
-        for child in (a, b, a2):
-            assert len(child.meta["checker"]["acked"]) >= reports[root.id]["acked_ok"]
-        assert len(a2.meta["checker"]["acked"]) >= len(a.meta["checker"]["acked"])
-        # the mutation history replays: one crash on a's timeline, two on a2's
-        assert tree.rewind(root).ctx.system.runtime.crashes == 0
-        assert tree.rewind(a).ctx.system.runtime.crashes == 1
-        assert tree.rewind(a2).ctx.system.runtime.crashes == 2
-        # and the cut branch visibly dirtied device pages vs the root
-        d = tree.diff(root, a)
-        assert any(v["changed_pages"] for v in d["pages"].values())
+    def test_pause_past_completion_rejected(self):
+        with pytest.raises(SnapshotError, match="finished before the pause point"):
+            snapshot_run(BatchingProgram(), at_ns=10**8)

@@ -49,13 +49,14 @@ def test_snapshot_restore_digest_identical(scenario, seed):
     assert cont.time_ns == base.time_ns
 
 
-def test_distinct_seeds_actually_change_the_run():
+def test_distinct_seeds_actually_change_the_run(profiled):
     """Guard against the property passing vacuously.  (The faults
     program threads its seed into the device RNG, so the whole event
     timeline moves; batching/cluster seeds only reshuffle payload bytes,
-    which the trace hash deliberately does not cover.)"""
-    faults = SCENARIOS["faults"].serial
-    assert straight_run(faults(seed=0)).digest != straight_run(faults(seed=1)).digest
+    which the trace hash deliberately does not cover.)  Seed 0 is the
+    entry's profiled run."""
+    seed1 = straight_run(SCENARIOS["faults"].serial(seed=1))
+    assert profiled["faults"][0].digest != seed1.digest
 
 
 def test_upgrade_under_load_pauses_mid_upgrade():

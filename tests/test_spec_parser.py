@@ -1,10 +1,8 @@
 """Tests for the YAML-subset spec parser."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.spec import SpecParseError, dump_spec, parse_spec
+from repro.core.spec import SpecParseError, parse_spec
 
 
 def test_empty_document():
@@ -137,38 +135,3 @@ labmods:
     assert d["rules"]["admins"] == ["alice"]
     assert d["labmods"][1]["attrs"]["capacity_bytes"] == 1073741824
     assert d["labmods"][2]["attrs"]["device"] == "nvme"
-
-
-# round-trip property ------------------------------------------------------
-_scalars = st.one_of(
-    st.integers(-(10**6), 10**6),
-    st.booleans(),
-    st.none(),
-    st.text(alphabet="abcdefgh_/.", min_size=1, max_size=12),
-)
-# the supported subset: mappings nest arbitrarily; lists hold scalars or
-# mappings (never lists-of-lists — LabStack specs don't need them)
-_values = st.recursive(
-    _scalars,
-    lambda children: st.one_of(
-        st.lists(
-            st.one_of(
-                _scalars,
-                st.dictionaries(
-                    st.text(alphabet="abcdef_", min_size=1, max_size=8), children, max_size=3
-                ),
-            ),
-            max_size=4,
-        ),
-        st.dictionaries(st.text(alphabet="abcdef_", min_size=1, max_size=8), children, max_size=4),
-    ),
-    max_leaves=12,
-)
-
-
-@settings(max_examples=80, deadline=None)
-@given(doc=st.dictionaries(st.text(alphabet="abcdef_", min_size=1, max_size=8), _values, max_size=5))
-def test_property_dump_parse_roundtrip(doc):
-    """dump_spec followed by parse_spec is the identity on the subset."""
-    text = dump_spec(doc)
-    assert parse_spec(text) == doc

@@ -23,8 +23,6 @@ from repro.workloads import (
     run_labios_fs,
     run_labios_kvs,
     run_personality,
-    run_rename,
-    run_unlink,
     run_vpic,
 )
 
@@ -116,18 +114,6 @@ def test_fxmark_create_labstor():
 
     result = run_create(sys_.env, factory, nthreads=2, files_per_thread=10)
     assert result.ops == 20
-
-
-def test_fxmark_unlink_and_rename():
-    env = Environment()
-    fs = make_filesystem("xfs", env, make_device(env, "nvme"))
-    api = KernelFsAdapter(fs)
-    r1 = run_unlink(env, lambda tid: api, nthreads=2, files_per_thread=5)
-    assert r1.ops == 10
-    r2 = run_rename(env, lambda tid: api, nthreads=2, files_per_thread=5)
-    assert r2.ops == 10
-    assert fs.exists("/r0/g0")
-    assert not fs.exists("/r0/f0")
 
 
 # --- filebench --------------------------------------------------------------
