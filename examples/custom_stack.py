@@ -33,7 +33,7 @@ labmods:
   - mod: NoOpSchedMod
     uuid: demo.sched
     attrs:
-      nqueues: 8
+      device: nvme
     outputs: [demo.driver]
   - mod: KernelDriverMod
     uuid: demo.driver

@@ -22,7 +22,7 @@ def main() -> None:
     )
     spec = StackSpec.linear("blk::/w", [("NoOpSchedMod", "demo.noop"),
                                         ("KernelDriverMod", "demo.drv")])
-    spec.nodes[0].attrs = {"nqueues": 8}
+    spec.nodes[0].attrs = {"device": "nvme"}
     spec.nodes[1].attrs = {"device": "nvme"}
     stack = system.runtime.mount_stack(spec)
 

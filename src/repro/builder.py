@@ -103,7 +103,7 @@ class StackBuilder:
         """Set the scheduler LabMod; ``None`` (or ``""``) omits it.
 
         Keyword arguments become the scheduler node's attrs, overlaid on
-        the defaults the builder derives from the device — e.g.
+        the stack's ``device`` attr (whose queues it steers to) — e.g.
         ``.sched("BatchSchedMod", window_ns=10_000, batch_max=16)``.
         """
         self._sched = mod_name or None
@@ -161,11 +161,8 @@ class StackBuilder:
                 attrs={"capacity_bytes": cap, "nworkers": self._nworkers},
             ))
         if self._sched:
-            sched_attrs: dict = {"nqueues": dev.nqueues}
-            if self._sched == "BlkSwitchSchedMod":
-                sched_attrs = {"device": self._device}
-            sched_attrs.update(self._sched_attrs)
-            nodes.append(NodeSpec(mod_name=self._sched, uuid=f"{u}.sched", attrs=sched_attrs))
+            nodes.append(NodeSpec(mod_name=self._sched, uuid=f"{u}.sched",
+                                  attrs={"device": self._device, **self._sched_attrs}))
         nodes.append(NodeSpec(
             mod_name=self._driver, uuid=f"{u}.driver", attrs={"device": self._device}
         ))

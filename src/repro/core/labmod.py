@@ -50,6 +50,18 @@ class ModContext:
         self.devices = devices or {}
         self.attrs = attrs or {}
 
+    def device(self, uuid: str):
+        """The device named by the ``device`` attr, or the only device."""
+        name = self.attrs.get("device")
+        if name is None:
+            if len(self.devices) != 1:
+                raise LabStorError(f"{uuid}: 'device' attr required with multiple devices")
+            name = next(iter(self.devices))
+        try:
+            return self.devices[name]
+        except KeyError:
+            raise LabStorError(f"{uuid}: unknown device {name!r}") from None
+
 
 class ExecContext:
     """Per-request execution context.
@@ -117,15 +129,6 @@ class ExecContext:
                 if span == "device_io":
                     sc.add_device_window(start, now)
         return value
-
-    def span(self, name: str, dur_ns: int) -> None:
-        """Record a span without elapsing time (bookkeeping attribution)."""
-        env = self.env
-        if env._trace:
-            self.tracer.emit(env._now, "span", name=name, dur_ns=dur_ns)
-        sc = self.sc
-        if sc is not None:
-            sc.add_cat(name, dur_ns)
 
 
 class LabMod(abc.ABC):

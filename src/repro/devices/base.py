@@ -28,6 +28,7 @@ from typing import Any, Optional
 import numpy as np
 
 from ..errors import DeviceError
+from ..policy import Extent
 from ..sim import Environment, Event, Resource, Store
 
 __all__ = ["IoOp", "BlockRequest", "DeviceProfile", "BlockDevice"]
@@ -217,12 +218,13 @@ class BlockDevice:
             req: BlockRequest = yield queue.get()
             if cmax > 1 and req.op in (IoOp.READ, IoOp.WRITE):
                 group = [req]
-                self._drain_contiguous(queue, group)
+                extent = Extent(req.offset, req.size)
+                self._drain_contiguous(queue, group, extent)
                 if len(group) < cmax and cwin > 0:
                     # linger briefly: back-to-back submitters (batched
                     # drivers) land their remaining parts inside the window
                     yield self.env.timeout(cwin)
-                    self._drain_contiguous(queue, group)
+                    self._drain_contiguous(queue, group, extent)
                 if len(group) > 1:
                     self.coalesced_groups += 1
                     self.coalesced_ops += len(group)
@@ -234,27 +236,19 @@ class BlockDevice:
             yield slot
             self.env.process(self._service(req, slot, qidx))
 
-    def _drain_contiguous(self, queue: Store, group: list) -> None:
-        """Steal queued requests that front/back-extend the group's extent.
+    def _drain_contiguous(self, queue: Store, group: list, extent: Extent) -> None:
+        """Steal queued requests that front/back-extend the group's ``extent``.
 
         Direct removal from ``queue.items`` is safe: hctx stores are
         unbounded (no blocked putters to serve) and this loop is the
         store's only consumer.
         """
-        lead = group[0]
-        start = min(r.offset for r in group)
-        end = max(r.offset + r.size for r in group)
+        op = group[0].op
         progressed = True
         while progressed and len(group) < self.profile.coalesce_max:
             progressed = False
             for r in list(queue.items):
-                if r.op is not lead.op:
-                    continue
-                if r.offset == end:
-                    end = r.offset + r.size
-                elif r.offset + r.size == start:
-                    start = r.offset
-                else:
+                if r.op is not op or not extent.merge(r.offset, r.size):
                     continue
                 queue.items.remove(r)
                 group.append(r)

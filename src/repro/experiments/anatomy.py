@@ -70,7 +70,7 @@ def run_anatomy(env, p: dict, seed: int = 0) -> dict:
         yield from gfs.write(fd, b"\x00" * (bs * nops), offset=0)
         if op == "read":
             # drop the LRU cache so reads exercise the device path
-            sys_.runtime.registry.get("anat.lru").pages.clear()
+            sys_.runtime.registry.get("anat.lru").pages.drop_clean()
         return fd
 
     fd = sys_.run(sys_.process(setup()))
@@ -82,7 +82,7 @@ def run_anatomy(env, p: dict, seed: int = 0) -> dict:
             if op == "write":
                 yield from gfs.write(fd, b"w" * bs, offset=i * bs)
             else:
-                sys_.runtime.registry.get("anat.lru").pages.clear()
+                sys_.runtime.registry.get("anat.lru").pages.drop_clean()
                 yield from gfs.read(fd, bs, offset=i * bs)
 
     sys_.run(sys_.process(measured()))

@@ -39,7 +39,7 @@ def run_orchestration_cpu(env, p: dict, seed: int = 0) -> dict:
     sys_ = LabStorSystem(env=env, seed=seed, devices=("nvme",), config=cfg)
     spec = StackSpec.linear("blk::/w", [("NoOpSchedMod", "ocpu.noop"),
                                         ("KernelDriverMod", "ocpu.drv")])
-    spec.nodes[0].attrs = {"nqueues": sys_.devices["nvme"].nqueues}
+    spec.nodes[0].attrs = {"device": "nvme"}
     spec.nodes[1].attrs = {"device": "nvme"}
     stack = sys_.runtime.mount_stack(spec)
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 from ..core.labstack import StackSpec
 from ..core.runtime import RuntimeConfig
 from ..devices.profiles import make_device
-from ..kernel.block_layer import BlockLayer, KernelBlkSwitch, KernelNoop
 from ..kernel.interfaces import IoUring
 from ..system import LabStorSystem
 from ..units import KiB
@@ -55,21 +54,17 @@ def run_schedulers(env, p: dict, seed: int = 0) -> dict:
     if scheduler.startswith("linux-"):
         dev = make_device(env, "nvme")
         iface = IoUring(env, dev)  # the paper drives kernel schedulers via fio
-        iface.block_layer.set_scheduler(
-            KernelNoop() if scheduler == "linux-noop" else KernelBlkSwitch()
-        )
+        iface.block_layer.scheduler = "noop" if scheduler == "linux-noop" else "blk-switch"
         engine = RawDeviceEngine(iface)
         make_engine = lambda: engine  # noqa: E731 - kernel path is stateless per thread
     else:
         sched_mod = "NoOpSchedMod" if scheduler == "lab-noop" else "BlkSwitchSchedMod"
         sys_ = LabStorSystem(env=env, seed=seed, devices=("nvme",),
                              config=RuntimeConfig(nworkers=8, ncores=48))
-        attrs = ({"nqueues": sys_.devices["nvme"].nqueues}
-                 if sched_mod == "NoOpSchedMod" else {"device": "nvme"})
         spec = StackSpec.linear(
             "blk::/sched", [(sched_mod, f"schedx.{scheduler}.s"),
                             ("KernelDriverMod", f"schedx.{scheduler}.d")])
-        spec.nodes[0].attrs = attrs
+        spec.nodes[0].attrs = {"device": "nvme"}
         spec.nodes[1].attrs = {"device": "nvme"}
         stack = sys_.runtime.mount_stack(spec)
         # one client (one unordered queue pair) per fio thread, as in the

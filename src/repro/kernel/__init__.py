@@ -1,6 +1,6 @@
 """Simulated Linux kernel substrate: CPU, block layer, page cache, FSes, APIs."""
 
-from .block_layer import BlockLayer, KernelBlkSwitch, KernelNoop
+from .block_layer import BlockLayer
 from .cpu import DEFAULT_COST, CostModel, Cpu
 from .filesystems import Ext4Sim, F2fsSim, KernelFilesystem, XfsSim, make_filesystem
 from .interfaces import INTERFACES, IoInterface, IoUring, make_interface
@@ -11,8 +11,6 @@ __all__ = [
     "Cpu",
     "DEFAULT_COST",
     "BlockLayer",
-    "KernelNoop",
-    "KernelBlkSwitch",
     "PageCache",
     "PAGE_SIZE",
     "KernelFilesystem",

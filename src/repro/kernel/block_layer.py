@@ -1,9 +1,10 @@
-"""Linux block layer model (blk-mq) with pluggable in-kernel I/O schedulers.
+"""Linux block layer model (blk-mq) with a choice of in-kernel elevator.
 
 The block layer charges the request-allocation / scheduling / dispatch /
 completion bookkeeping costs that LabStor's Kernel Driver LabMod bypasses
 (the paper's Fig 6 storage-API comparison), and exposes the same
-hctx-selection seam the Fig 8 scheduler experiment customizes.
+hctx-selection seam the Fig 8 scheduler experiment customizes — with the
+scheduler LabMods' own policy functions, so only the path length differs.
 
 ``submit_batch_bio`` models blk-mq plugging: a plug list of bios is
 elevator-merged (front/back contiguity) into runs, each run pays the
@@ -15,94 +16,56 @@ LabStor-path property (see mods.sched_batch).
 
 from __future__ import annotations
 
-import abc
-
 from ..devices.base import BlockDevice, BlockRequest, IoOp
+from ..errors import KernelError
+from ..policy import Extent, blkswitch_hctx, noop_hctx
 from ..sim import Environment
 from .cpu import DEFAULT_COST, CostModel
 
-__all__ = ["KernelNoop", "KernelBlkSwitch", "BlockLayer"]
-
-
-class KernelIoScheduler(abc.ABC):
-    """Chooses the hardware dispatch queue for each request."""
-
-    name = "abstract"
-
-    @abc.abstractmethod
-    def select_hctx(self, layer: "BlockLayer", size: int, origin_core: int) -> int:
-        ...
-
-    def cost_ns(self, cost: CostModel) -> int:
-        return cost.blk_sched_ns
-
-
-class KernelNoop(KernelIoScheduler):
-    """Maps requests to the hctx of the originating core (Linux none/noop)."""
-
-    name = "linux-noop"
-
-    def select_hctx(self, layer: "BlockLayer", size: int, origin_core: int) -> int:
-        return origin_core % layer.device.nqueues
-
-
-class KernelBlkSwitch(KernelIoScheduler):
-    """blk-switch [20]: lane separation + least-loaded steering.
-
-    blk-switch's core idea is per-class egress lanes: latency-critical
-    (small) requests get dedicated hardware queues that throughput
-    (large) requests never occupy, plus load-aware steering within a
-    lane.  This prevents a latency-sensitive request from queueing
-    behind a throughput app's large writes (the head-of-line blocking
-    Fig 8 demonstrates for noop when colocated).
-    """
-
-    name = "linux-blk-switch"
-    #: requests at or above this size ride the throughput lane
-    large_threshold = 32 * 1024
-
-    @staticmethod
-    def _lanes(nqueues: int) -> int:
-        """Number of queues reserved for the latency lane."""
-        return max(1, nqueues // 4)
-
-    def select_hctx(self, layer: "BlockLayer", size: int, origin_core: int) -> int:
-        nq = layer.device.nqueues
-        k = self._lanes(nq)
-        if nq == 1:
-            return 0
-        if size >= self.large_threshold:
-            lane = range(k, nq)           # throughput lane
-        else:
-            lane = range(0, k)            # dedicated latency lane
-        return min(lane, key=lambda q: (layer.inflight_bytes[q], q))
-
-    def cost_ns(self, cost: CostModel) -> int:
-        # lane classification + load inspection costs more than noop's modulo
-        return cost.blk_sched_ns + 400
+__all__ = ["BlockLayer"]
 
 
 class BlockLayer:
-    """blk-mq front end over one device."""
+    """blk-mq front end over one device.
+
+    ``scheduler`` names the elevator that picks each bio's hctx:
+    ``"noop"`` (Linux none/noop) or ``"blk-switch"`` [20] — the
+    :mod:`repro.policy` functions the scheduler LabMods run too.  Swap it
+    by assignment (the ``echo > /sys/block/.../scheduler`` equivalent).
+    """
 
     def __init__(
         self,
         env: Environment,
         device: BlockDevice,
         cost: CostModel = DEFAULT_COST,
-        scheduler: KernelIoScheduler | None = None,
+        scheduler: str = "noop",
     ) -> None:
         self.env = env
         self.device = device
         self.cost = cost
-        self.scheduler = scheduler or KernelNoop()
+        self.scheduler = scheduler
         self.inflight_bytes = [0] * device.nqueues
         self.submitted = 0
         self.merged_bios = 0  # bios absorbed into another run's request
 
-    def set_scheduler(self, scheduler: KernelIoScheduler) -> None:
-        """Swap the elevator (echo > /sys/block/.../scheduler equivalent)."""
-        self.scheduler = scheduler
+    def _load(self, q: int) -> int:
+        return self.inflight_bytes[q] + self.device.queue_depth(q)
+
+    def steer(self, size: int, origin_core: int) -> int:
+        """The elevator's hctx for a ``size``-byte bio from ``origin_core``."""
+        if self.scheduler == "noop":
+            return noop_hctx(origin_core, self.device.nqueues)
+        if self.scheduler == "blk-switch":
+            return blkswitch_hctx(size, self.device.nqueues, self._load)
+        raise KernelError(f"unknown block-layer scheduler {self.scheduler!r}")
+
+    def _sched_ns(self) -> int:
+        # blk-switch's lane classification + load inspection costs more
+        # than noop's modulo: the same premium the LabMod port pays
+        if self.scheduler == "blk-switch":
+            return self.cost.blk_sched_ns + self.cost.blkswitch_extra_ns
+        return self.cost.blk_sched_ns
 
     def submit_bio(
         self,
@@ -125,9 +88,10 @@ class BlockLayer:
         sw_ns = self.cost.blk_alloc_ns
         yield self.env.timeout(self.cost.blk_alloc_ns)
         if hctx is None:
-            sw_ns += self.scheduler.cost_ns(self.cost)
-            yield self.env.timeout(self.scheduler.cost_ns(self.cost))
-            hctx = self.scheduler.select_hctx(self, size, origin_core)
+            sched_ns = self._sched_ns()
+            sw_ns += sched_ns
+            yield self.env.timeout(sched_ns)
+            hctx = self.steer(size, origin_core)
         yield self.env.timeout(self.cost.blk_dispatch_ns)
         req = BlockRequest(op=op, offset=offset, size=size, data=data, hctx=hctx)
         if sc is not None:
@@ -145,35 +109,28 @@ class BlockLayer:
         return req
 
     # -- plugging (batched submission) ---------------------------------
-    def merge_bios(self, bios, plug_max: int | None = None) -> list[dict]:
+    @staticmethod
+    def merge_bios(bios) -> list[tuple[IoOp, Extent, list[int]]]:
         """Elevator front/back merge of a plug list.
 
         ``bios`` is a sequence of ``(op, offset, size, data|None)``.
-        Returns runs as ``{"op", "start", "end", "idx"}`` dicts where
-        ``idx`` lists the constituent bio indices in offset order.
-        ``plug_max`` caps bios per run (None = unbounded).
+        Returns runs as ``(op, extent, idx)`` where ``idx`` lists the
+        constituent bio indices in offset order.
         """
-        runs: list[dict] = []
+        runs: list[tuple[IoOp, Extent, list[int]]] = []
         for i, (op, off, size, _data) in enumerate(bios):
-            merged = False
-            for r in runs:
-                if r["op"] is not op or (plug_max is not None and len(r["idx"]) >= plug_max):
-                    continue
-                if off == r["end"]:
-                    r["idx"].append(i)
-                    r["end"] += size
-                    merged = True
+            for r_op, ext, idx in runs:
+                if r_op is op and (side := ext.merge(off, size)):
+                    if side > 0:
+                        idx.append(i)
+                    else:
+                        idx.insert(0, i)
                     break
-                if off + size == r["start"]:
-                    r["idx"].insert(0, i)
-                    r["start"] = off
-                    merged = True
-                    break
-            if not merged:
-                runs.append({"op": op, "start": off, "end": off + size, "idx": [i]})
+            else:
+                runs.append((op, Extent(off, size), [i]))
         return runs
 
-    def submit_batch_bio(self, bios, origin_core: int = 0, plug_max: int | None = None):
+    def submit_batch_bio(self, bios, origin_core: int = 0):
         """Process generator: plug-style batched submission.
 
         Merges ``bios`` (``(op, offset, size, data|None)`` tuples) into
@@ -185,19 +142,19 @@ class BlockLayer:
         """
         t = self.env.tracer
         sc = t.obs_span if t.obs else None
-        runs = self.merge_bios(bios, plug_max)
+        runs = self.merge_bios(bios)
         pending: list[tuple[BlockRequest, object]] = []
         try:
-            for r in runs:
-                sw_ns = self.cost.blk_alloc_ns + self.scheduler.cost_ns(self.cost)
+            for op, ext, idx in runs:
+                sw_ns = self.cost.blk_alloc_ns + self._sched_ns()
                 yield self.env.timeout(sw_ns)
-                size = r["end"] - r["start"]
-                hctx = self.scheduler.select_hctx(self, size, origin_core)
+                size = ext.end - ext.start
+                hctx = self.steer(size, origin_core)
                 yield self.env.timeout(self.cost.blk_dispatch_ns)
                 data = None
-                if r["op"] is IoOp.WRITE:
-                    data = b"".join(bios[i][3] for i in r["idx"])
-                req = BlockRequest(op=r["op"], offset=r["start"], size=size,
+                if op is IoOp.WRITE:
+                    data = b"".join(bios[i][3] for i in idx)
+                req = BlockRequest(op=op, offset=ext.start, size=size,
                                    data=data, hctx=hctx)
                 if sc is not None:
                     sc.add_kqueue(sw_ns + self.cost.blk_dispatch_ns
@@ -205,7 +162,7 @@ class BlockLayer:
                     req.obs = sc
                 self.inflight_bytes[hctx] += size
                 self.submitted += 1
-                self.merged_bios += len(r["idx"]) - 1
+                self.merged_bios += len(idx) - 1
                 pending.append((req, self.device.submit(req)))
             for _req, done in pending:
                 yield done

@@ -8,24 +8,16 @@ Read-your-writes is real: cached pages carry the actual data.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Generator
 
 from ..errors import KernelError
+from ..policy import LruPages, runs
 from ..sim import Environment
 from .cpu import DEFAULT_COST, CostModel
 
 __all__ = ["PageCache", "PAGE_SIZE"]
 
 PAGE_SIZE = 4096
-
-
-@dataclass
-class CachedPage:
-    data: bytearray
-    dirty: bool = False
-
 
 # key = (file_id, page_no)
 _Key = tuple[int, int]
@@ -34,6 +26,11 @@ _Key = tuple[int, int]
 WritebackFn = Callable[[int, int, bytes], Generator]
 # fill callback: (file_id, page_no) -> process generator returning bytes
 FillFn = Callable[[int, int], Generator]
+
+
+def _next_page(a: tuple[_Key, bytearray], b: tuple[_Key, bytearray]) -> bool:
+    """Same file, next page."""
+    return b[0][0] == a[0][0] and b[0][1] == a[0][1] + 1
 
 
 class PageCache:
@@ -60,7 +57,7 @@ class PageCache:
         self._writeback = writeback
         self._writeback_run = writeback_run
         self._fill = fill
-        self._pages: OrderedDict[_Key, CachedPage] = OrderedDict()
+        self.pages: LruPages = LruPages()  # (file_id, page_no) -> bytearray
         # dirty pages evicted but whose writeback has not landed yet;
         # concurrent reads must see this data, not the stale device copy
         self._wb_inflight: dict[_Key, bytes] = {}
@@ -70,52 +67,37 @@ class PageCache:
         self.writebacks = 0
 
     def __len__(self) -> int:
-        return len(self._pages)
+        return len(self.pages)
 
     def dirty_count(self) -> int:
-        return sum(1 for p in self._pages.values() if p.dirty)
+        return len(self.pages.dirty)
 
     def resident(self, file_id: int, page_no: int) -> bool:
-        return (file_id, page_no) in self._pages
+        return (file_id, page_no) in self.pages
 
     # -- internals --------------------------------------------------------
-    def _touch(self, key: _Key) -> None:
-        self._pages.move_to_end(key)
-
-    def _flush_pairs(self, pairs: list[tuple[_Key, CachedPage]]):
-        """Write back (key, page) pairs, coalescing consecutive pages of a
-        file into extent writebacks when the backend supports it.
-        Generator; marks pages clean and maintains the in-flight table."""
-        dirty = sorted((kp for kp in pairs if kp[1].dirty), key=lambda kp: kp[0])
+    def _flush(self, dirty: list[tuple[_Key, bytearray]]):
+        """Write back (key, data) pages already marked clean, coalescing
+        consecutive pages of a file into extent writebacks when the
+        backend supports it.  Generator; maintains the in-flight table."""
         if not dirty:
             return
-        for key, page in dirty:
-            self._wb_inflight[key] = bytes(page.data)
-            page.dirty = False
-        procs = []
+        dirty.sort(key=lambda kp: kp[0])
+        for key, data in dirty:
+            self._wb_inflight[key] = bytes(data)
         if self._writeback_run is not None:
-            i = 0
-            while i < len(dirty):
-                j = i
-                while (
-                    j + 1 < len(dirty)
-                    and dirty[j + 1][0][0] == dirty[j][0][0]        # same file
-                    and dirty[j + 1][0][1] == dirty[j][0][1] + 1    # next page
-                ):
-                    j += 1
-                file_id = dirty[i][0][0]
-                first_page = dirty[i][0][1]
-                data = b"".join(self._wb_inflight[k] for k, _ in dirty[i : j + 1])
-                procs.append(self.env.process(self._writeback_run(file_id, first_page, data)))
-                i = j + 1
+            procs = [
+                self.env.process(self._writeback_run(
+                    run[0][0][0], run[0][0][1],
+                    b"".join(self._wb_inflight[k] for k, _ in run)))
+                for run in runs(dirty, _next_page)
+            ]
         else:
-            for key, _page in dirty:
-                procs.append(
-                    self.env.process(self._writeback(key[0], key[1], self._wb_inflight[key]))
-                )
+            procs = [self.env.process(self._writeback(key[0], key[1], self._wb_inflight[key]))
+                     for key, _data in dirty]
         self.writebacks += len(dirty)
         yield self.env.all_of(procs)
-        for key, _page in dirty:
+        for key, _data in dirty:
             self._wb_inflight.pop(key, None)
 
     def _evict_batch(self, n: int):
@@ -125,39 +107,40 @@ class PageCache:
         evictors never pick the same page; the in-flight table keeps the
         data visible to readers until the writeback lands.
         """
-        victims = []
-        it = iter(self._pages.items())
-        for _ in range(min(n, len(self._pages))):
-            victims.append(next(it))
-        for key, _page in victims:
-            del self._pages[key]
-        self.evictions += len(victims)
-        yield from self._flush_pairs(victims)
+        n = min(n, len(self.pages))
+        dirty = self.pages.pop_lru(n)
+        self.evictions += n
+        yield from self._flush(dirty)
 
     def _ensure_room(self):
-        while len(self._pages) >= self.capacity_pages:
+        while len(self.pages) >= self.capacity_pages:
             # evict in batches so dirty neighbours coalesce into large bios
             yield self.env.process(self._evict_batch(max(1, self.capacity_pages // 64)))
 
     def _get_page(self, file_id: int, page_no: int, *, fill_if_missing: bool):
-        """Generator returning the CachedPage (loading from backing if needed)."""
+        """Generator returning the page's bytearray (loading from backing if needed)."""
         key = (file_id, page_no)
-        page = self._pages.get(key)
+        page = self.pages.get(key)
         if page is not None:
             self.hits += 1
-            self._touch(key)
+            self.pages.touch(key)
             return page
         self.misses += 1
         yield from self._ensure_room()
         inflight = self._wb_inflight.get(key)
         if inflight is not None:
-            page = CachedPage(bytearray(inflight), dirty=False)
+            page = inflight
         elif fill_if_missing:
-            data = yield self.env.process(self._fill(file_id, page_no))
-            page = CachedPage(bytearray(data))
+            page = yield self.env.process(self._fill(file_id, page_no))
         else:
-            page = CachedPage(bytearray(PAGE_SIZE))
-        self._pages[key] = page
+            page = bytes(PAGE_SIZE)
+        return self._install(key, page)
+
+    def _install(self, key: _Key, data) -> bytearray:
+        """Cache a clean copy of ``data`` as page ``key``, replacing in
+        place any page a concurrent miss installed meanwhile."""
+        page = self.pages[key] = bytearray(data)
+        self.pages.dirty.discard(key)
         return page
 
     # -- public API (process generators) -------------------------------------
@@ -171,8 +154,8 @@ class PageCache:
             # A partial overwrite of a non-resident page must read-modify-write.
             needs_fill = (in_page != 0 or chunk != PAGE_SIZE)
             page = yield from self._get_page(file_id, page_no, fill_if_missing=needs_fill)
-            page.data[in_page : in_page + chunk] = data[pos : pos + chunk]
-            page.dirty = True
+            page[in_page : in_page + chunk] = data[pos : pos + chunk]
+            self.pages.dirty.add((file_id, page_no))
             pos += chunk
 
     def read(self, file_id: int, offset: int, size: int):
@@ -191,18 +174,18 @@ class PageCache:
             win_last = min((offset + size - 1) // PAGE_SIZE, win_first + window_pages - 1)
             # keep resident window pages hot so room-making cannot evict them
             for p in range(win_first, win_last + 1):
-                if (file_id, p) in self._pages:
-                    self._touch((file_id, p))
+                if (file_id, p) in self.pages:
+                    self.pages.touch((file_id, p))
                     self.hits += 1
             missing = []
             for p in range(win_first, win_last + 1):
                 key = (file_id, p)
-                if key in self._pages:
+                if key in self.pages:
                     continue
                 inflight = self._wb_inflight.get(key)
                 if inflight is not None:
                     yield from self._ensure_room()
-                    self._pages[key] = CachedPage(bytearray(inflight))
+                    self._install(key, inflight)
                 else:
                     missing.append(p)
             if missing:
@@ -212,13 +195,13 @@ class PageCache:
                 yield self.env.all_of(procs)
                 self.misses += len(missing)
                 for p, proc in zip(missing, procs):
-                    self._pages[(file_id, p)] = CachedPage(bytearray(proc.value))
+                    self._install((file_id, p), proc.value)
             win_end_byte = min(size, (win_last + 1) * PAGE_SIZE - offset)
             while pos < win_end_byte:
                 page_no, in_page = divmod(offset + pos, PAGE_SIZE)
                 chunk = min(PAGE_SIZE - in_page, size - pos)
-                page = self._pages[(file_id, page_no)]
-                out[pos : pos + chunk] = page.data[in_page : in_page + chunk]
+                page = self.pages[(file_id, page_no)]
+                out[pos : pos + chunk] = page[in_page : in_page + chunk]
                 pos += chunk
         return bytes(out)
 
@@ -229,15 +212,13 @@ class PageCache:
         queue and flushes the whole dirty set in one batch, which is why
         a 64KB fsync does not pay 16 serial device round trips.
         """
-        pairs = [(key, page) for key, page in self._pages.items()
-                 if key[0] == file_id and page.dirty]
-        yield from self._flush_pairs(pairs)
+        yield from self._flush(self.pages.take_dirty(lambda key: key[0] == file_id))
 
     def sync_all(self):
         """Write back every dirty page (umount / global sync)."""
-        yield from self._flush_pairs(list(self._pages.items()))
+        yield from self._flush(self.pages.take_dirty())
 
     def invalidate(self, file_id: int) -> None:
         """Drop all pages of a file (unlink); dirty pages are discarded."""
-        for key in [k for k in self._pages if k[0] == file_id]:
-            del self._pages[key]
+        for key in [k for k in self.pages if k[0] == file_id]:
+            self.pages.drop(key)

@@ -17,15 +17,18 @@ miss.  State — the whole cache — survives live upgrades via StateUpdate.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from ..core.labmod import ExecContext, LabMod, ModContext
 from ..core.requests import LabRequest
 from ..errors import LabStorError
+from ..policy import LruPages, runs
 
 __all__ = ["LruCacheMod"]
 
 PAGE = 4096
+
+
+def _next_page(a: tuple[int, bytes], b: tuple[int, bytes]) -> bool:
+    return b[0] == a[0] + 1
 
 
 class LruCacheMod(LabMod):
@@ -39,61 +42,54 @@ class LruCacheMod(LabMod):
         self.write_policy = ctx.attrs.get("write_policy", "through")
         if self.write_policy not in ("through", "back"):
             raise LabStorError(f"{uuid}: write_policy must be 'through' or 'back'")
-        self.pages: OrderedDict[int, bytes] = OrderedDict()
-        self.dirty: set[int] = set()
+        self.pages = LruPages()  # page_no -> bytes
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
 
     # -- cache mechanics ----------------------------------------------------
-    def _insert(self, page_no: int, data: bytes, dirty: bool = False):
-        """Generator: insert a page, draining dirty evictions downstream."""
-        self.pages[page_no] = data
-        self.pages.move_to_end(page_no)
-        if dirty:
-            self.dirty.add(page_no)
-        while len(self.pages) > self.capacity_pages:
-            victim, vdata = self.pages.popitem(last=False)
-            if victim in self.dirty:
-                self.dirty.discard(victim)
-                yield victim, vdata
+    def _put(self, page_no: int, data: bytes, dirty: bool = False) -> list:
+        """Cache a page; returns the dirty pages its insertion evicted."""
+        self.pages.put(page_no, data, dirty)
+        return self.pages.pop_lru(len(self.pages) - self.capacity_pages)
 
-    @staticmethod
-    def _coalesce(evicted: list[tuple[int, bytes]]) -> list[tuple[int, bytes]]:
-        """Group (page_no, data) pairs into contiguous (offset, data) extents."""
-        items = sorted(evicted)
-        out = []
-        i = 0
-        while i < len(items):
-            j = i
-            while j + 1 < len(items) and items[j + 1][0] == items[j][0] + 1:
-                j += 1
-            out.append((items[i][0] * PAGE, b"".join(d for _, d in items[i : j + 1])))
-            i = j + 1
-        return out
-
-    def _writeback(self, req: LabRequest, x: ExecContext, evicted: list[tuple[int, bytes]]):
-        """Generator: push evicted dirty pages downstream as extents."""
-        for offset, data in self._coalesce(evicted):
+    def _writeback(self, req: LabRequest, x: ExecContext, dirty: list[tuple[int, bytes]]):
+        """Generator: push dirty (page_no, data) pages downstream, one
+        write per run of consecutive pages."""
+        for run in runs(sorted(dirty), _next_page):
             self.writebacks += 1
+            data = b"".join(d for _, d in run)
             sub = LabRequest(
                 op="blk.write",
-                payload={"offset": offset, "size": len(data), "data": data,
+                payload={"offset": run[0][0] * PAGE, "size": len(data), "data": data,
                          "origin_core": req.payload.get("origin_core", 0)},
                 stack_id=req.stack_id,
                 client_pid=req.client_pid,
             )
             yield from self.forward(sub, x)
 
+    def _evict_range(self, req: LabRequest, x: ExecContext, offset: int, size: int):
+        """Generator: drop every cached page ``[offset, offset + size)``
+        touches, first writing back the dirty ones it only partly covers
+        (their bytes outside the range are not in the request)."""
+        first, end = offset // PAGE, -(-(offset + size) // PAGE)
+        partial = [(p, self.pages[p]) for p in range(first, end)
+                   if p in self.pages.dirty and not offset <= p * PAGE <= offset + size - PAGE]
+        for pno in range(first, end):
+            self.pages.drop(pno)
+        if partial:
+            yield from self._writeback(req, x, partial)
+
     def _lookup(self, first_page: int, npages: int) -> bytes | None:
+        pages = self.pages
         chunks = []
         for p in range(first_page, first_page + npages):
-            data = self.pages.get(p)
+            data = pages.get(p)
             if data is None:
                 return None
             chunks.append(data)
         for p in range(first_page, first_page + npages):
-            self.pages.move_to_end(p)
+            pages.move_to_end(p)
         return b"".join(chunks)
 
     # -- operation -----------------------------------------------------------
@@ -109,30 +105,21 @@ class LruCacheMod(LabMod):
             data = p["data"]
             aligned = offset % PAGE == 0 and len(data) % PAGE == 0
             if not aligned:
-                # safety: drop any cached pages the unaligned write touches
-                first = offset // PAGE
-                for pno in range(first, (offset + len(data) + PAGE - 1) // PAGE):
-                    self.pages.pop(pno, None)
-                    self.dirty.discard(pno)
+                yield from self._evict_range(req, x, offset, len(data))
                 return (yield from self.forward(req, x))
             evicted: list[tuple[int, bytes]] = []
             absorb = self.write_policy == "back"
             for i in range(0, len(data), PAGE):
-                evicted += list(
-                    self._insert((offset + i) // PAGE, bytes(data[i : i + PAGE]), dirty=absorb)
-                )
+                evicted += self._put((offset + i) // PAGE, bytes(data[i : i + PAGE]), absorb)
             if evicted:
                 yield from self._writeback(req, x, evicted)
             if absorb:
                 return len(data)  # acknowledged from the cache
             return (yield from self.forward(req, x))
 
-        if req.op == "blk.flush" and self.dirty:
+        if req.op == "blk.flush" and self.pages.dirty:
             # durability point: drain every dirty page before the flush
-            pending = [(pno, self.pages[pno]) for pno in sorted(self.dirty)
-                       if pno in self.pages]
-            self.dirty.clear()
-            yield from self._writeback(req, x, pending)
+            yield from self._writeback(req, x, self.pages.take_dirty())
             return (yield from self.forward(req, x))
 
         if req.op == "blk.read":
@@ -147,17 +134,16 @@ class LruCacheMod(LabMod):
             result = yield from self.forward(req, x)
             if result is not None and offset % PAGE == 0:
                 buf = bytearray(result)
-                evicted: list[tuple[int, bytes]] = []
+                evicted = []
                 for i in range(0, len(buf), PAGE):
                     pno = (offset + i) // PAGE
                     if len(buf) - i < PAGE:
                         break
-                    cached = self.pages.get(pno)
-                    if pno in self.dirty and cached is not None:
+                    if pno in self.pages.dirty:
                         # dirty page not yet written back: cache wins
-                        buf[i : i + PAGE] = cached
+                        buf[i : i + PAGE] = self.pages[pno]
                     else:
-                        evicted += list(self._insert(pno, bytes(buf[i : i + PAGE])))
+                        evicted += self._put(pno, bytes(buf[i : i + PAGE]))
                 if evicted:
                     yield from self._writeback(req, x, evicted)
                 result = bytes(buf)
@@ -165,10 +151,7 @@ class LruCacheMod(LabMod):
             return result
 
         if req.op == "blk.trim":
-            first = offset // PAGE
-            for pno in range(first, first + (size + PAGE - 1) // PAGE):
-                self.pages.pop(pno, None)
-                self.dirty.discard(pno)
+            yield from self._evict_range(req, x, offset, size)
         return (yield from self.forward(req, x))
 
     def est_processing_time(self, req) -> int:
@@ -180,7 +163,6 @@ class LruCacheMod(LabMod):
         super().state_update(old)
         if isinstance(old, LruCacheMod):
             self.pages = old.pages
-            self.dirty = old.dirty
             self.write_policy = old.write_policy
             self.hits = old.hits
             self.misses = old.misses
@@ -191,10 +173,8 @@ class LruCacheMod(LabMod):
         # write-back mode that loses un-flushed dirty pages — exactly the
         # durability trade the policy advertises.
         self.pages.clear()
-        self.dirty.clear()
 
     def state_repair(self) -> None:
         # nothing durable to rebuild from; start cold (on_crash dropped
         # the pages when the Runtime died)
         self.pages.clear()
-        self.dirty.clear()

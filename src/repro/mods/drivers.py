@@ -46,16 +46,7 @@ class DriverMod(LabMod):
 
     def __init__(self, uuid: str, ctx: ModContext) -> None:
         super().__init__(uuid, ctx)
-        dev_name = ctx.attrs.get("device")
-        if dev_name is None:
-            if len(ctx.devices) == 1:
-                dev_name = next(iter(ctx.devices))
-            else:
-                raise LabStorError(f"{uuid}: 'device' attr required with multiple devices")
-        try:
-            self.device: BlockDevice = ctx.devices[dev_name]
-        except KeyError:
-            raise LabStorError(f"{uuid}: unknown device {dev_name!r}") from None
+        self.device: BlockDevice = ctx.device(uuid)
         if self.device_kinds and self.device.profile.name not in self.device_kinds:
             raise LabStorError(
                 f"{uuid}: driver requires device in {self.device_kinds}, got "

@@ -37,12 +37,22 @@ from dataclasses import dataclass, field
 from ...core.labmod import ExecContext, LabMod, ModContext
 from ...core.requests import LabRequest
 from ...errors import FsError
+from ...policy import runs
 from . import log as mdlog
 from .alloc import CentralizedBlockAllocator, PerWorkerBlockAllocator
 
 __all__ = ["LabFs"]
 
 BLOCK = 4096
+
+
+def _next_block(a: int, b: int) -> bool:
+    return b == a + BLOCK
+
+
+def _next_mapped(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """(page, device offset) pairs: next page on the next block."""
+    return b[0] == a[0] + 1 and b[1] == a[1] + BLOCK
 
 
 @dataclass
@@ -140,7 +150,7 @@ class LabFs(LabMod):
         return self.inodes[ino]
 
     def _open(self, p, x: ExecContext):
-        yield from x.work(self.ctx.cost.labfs_meta_ns, span="fs_meta")
+        yield from x.work(self.ctx.cost.fs_meta_ns, span="fs_meta")
         ino = self.by_path.get(p["path"])
         if ino is not None:
             return ino
@@ -193,7 +203,7 @@ class LabFs(LabMod):
         return self._mkdir_now(path, x).ino
 
     def _readdir(self, path: str, x: ExecContext):
-        yield from x.work(self.ctx.cost.labfs_meta_ns, span="fs_meta")
+        yield from x.work(self.ctx.cost.fs_meta_ns, span="fs_meta")
         return sorted(self._dir_inode(path).children)
 
     def _rmdir(self, path: str, x: ExecContext):
@@ -253,7 +263,7 @@ class LabFs(LabMod):
         return None
 
     def _stat(self, path: str, x: ExecContext):
-        yield from x.work(self.ctx.cost.labfs_meta_ns, span="fs_meta")
+        yield from x.work(self.ctx.cost.fs_meta_ns, span="fs_meta")
         inode = self._lookup(path)
         return {"ino": inode.ino, "size": inode.size, "is_dir": inode.is_dir}
 
@@ -275,33 +285,27 @@ class LabFs(LabMod):
             priority=req.priority,
         )
 
-    def _extents(self, inode: LabFsInode, first_page: int, npages: int, x: ExecContext,
-                 allocate: bool):
+    def _extents(self, inode: LabFsInode, first_page: int, npages: int, x: ExecContext):
         """Generator returning (device_offset, page_count) extents,
-        allocating as needed; contiguous blocks coalesce into single
+        allocating unmapped pages; contiguous blocks coalesce into single
         extents.  Allocation may wait (the centralized-allocator baseline
         serializes on its lock; the per-worker design never waits)."""
-        runs: list[list[int]] = []  # [dev_offset, npages]
+        offs = []
         for page in range(first_page, first_page + npages):
             off = inode.blocks.get(page)
             if off is None:
-                if not allocate:
-                    raise FsError("EIO", f"hole at page {page} of {inode.path}")
                 block = yield from self.allocator.alloc_block(x.worker_id, x)
                 off = block * BLOCK
                 inode.blocks[page] = off
                 self.log.append(x.worker_id, mdlog.MAP_BLOCK, inode.ino, page, off)
-            if runs and runs[-1][0] + runs[-1][1] * BLOCK == off:
-                runs[-1][1] += 1
-            else:
-                runs.append([off, 1])
-        return [(off, n) for off, n in runs]
+            offs.append(off)
+        return [(run[0], len(run)) for run in runs(offs, _next_block)]
 
     def _write(self, req: LabRequest, x: ExecContext):
         p = req.payload
         inode = self._inode_by_ino(p["ino"])
         offset, data = p["offset"], p["data"]
-        yield from x.work(self.ctx.cost.labfs_meta_ns, span="fs_meta")
+        yield from x.work(self.ctx.cost.fs_meta_ns, span="fs_meta")
         head = offset % BLOCK
         tail = (offset + len(data)) % BLOCK
         first_page = offset // BLOCK
@@ -319,7 +323,7 @@ class LabFs(LabMod):
             buf[(npages - 1) * BLOCK :] = existing
         buf[head : head + len(data)] = data
 
-        extents = yield from self._extents(inode, first_page, npages, x, allocate=True)
+        extents = yield from self._extents(inode, first_page, npages, x)
         pos = 0
         for dev_off, n in extents:
             chunk = bytes(buf[pos : pos + n * BLOCK])
@@ -345,33 +349,27 @@ class LabFs(LabMod):
         inode = self._inode_by_ino(p["ino"])
         offset = p["offset"]
         size = max(0, min(p["size"], inode.size - offset))
-        yield from x.work(self.ctx.cost.labfs_meta_ns, span="fs_meta")
+        yield from x.work(self.ctx.cost.fs_meta_ns, span="fs_meta")
         if size == 0:
             return b""
         first_page = offset // BLOCK
         last_page = (offset + size - 1) // BLOCK
         npages = last_page - first_page + 1
         buf = bytearray(npages * BLOCK)
-        # coalesce pages whose device blocks are contiguous into one read
-        runs: list[tuple[int, int, int]] = []  # (buf_pos, dev_off, nblocks)
-        for page in range(first_page, first_page + npages):
-            dev_off = inode.blocks.get(page)
-            if dev_off is None:
-                continue  # hole: stays zero
-            if runs and runs[-1][1] + runs[-1][2] * BLOCK == dev_off and (
-                runs[-1][0] + runs[-1][2] * BLOCK == (page - first_page) * BLOCK
-            ):
-                runs[-1] = (runs[-1][0], runs[-1][1], runs[-1][2] + 1)
-            else:
-                runs.append(((page - first_page) * BLOCK, dev_off, 1))
-        for buf_pos, dev_off, nblocks in runs:
-            data = yield from self._read_extent(req, x, dev_off, nblocks * BLOCK)
-            buf[buf_pos : buf_pos + nblocks * BLOCK] = data
+        # coalesce pages whose device blocks are contiguous into one read;
+        # holes stay zero
+        mapped = [(page, off) for page in range(first_page, first_page + npages)
+                  if (off := inode.blocks.get(page)) is not None]
+        for run in runs(mapped, _next_mapped):
+            page, dev_off = run[0]
+            buf_pos = (page - first_page) * BLOCK
+            data = yield from self._read_extent(req, x, dev_off, len(run) * BLOCK)
+            buf[buf_pos : buf_pos + len(run) * BLOCK] = data
         head = offset % BLOCK
         return bytes(buf[head : head + size])
 
     def _fsync(self, req: LabRequest, x: ExecContext):
-        yield from x.work(self.ctx.cost.labfs_meta_ns, span="fs_meta")
+        yield from x.work(self.ctx.cost.fs_meta_ns, span="fs_meta")
         sub = self._blk(req, "blk.flush", {"offset": 0, "size": 0,
                                            "origin_core": req.client_pid or 0})
         yield from self.forward(sub, x)
@@ -384,7 +382,7 @@ class LabFs(LabMod):
         if req.op in ("fs.create", "fs.open"):
             return self.ctx.cost.labfs_create_ns
         size = req.payload.get("size", len(req.payload.get("data", b"")))
-        return self.ctx.cost.labfs_meta_ns + self.ctx.cost.copy_ns(size)
+        return self.ctx.cost.fs_meta_ns + self.ctx.cost.copy_ns(size)
 
     def state_update(self, old: "LabMod") -> None:
         super().state_update(old)

@@ -15,12 +15,17 @@ from dataclasses import dataclass, field
 from ..core.labmod import ExecContext, LabMod, ModContext
 from ..core.requests import LabRequest
 from ..errors import FsError
+from ..policy import runs
 from .labfs import log as mdlog
 from .labfs.alloc import CentralizedBlockAllocator, PerWorkerBlockAllocator
 
 __all__ = ["LabKvs", "LabKvsV2"]
 
 BLOCK = 4096
+
+
+def _next_block(a: int, b: int) -> bool:
+    return b == a + BLOCK
 
 
 @dataclass
@@ -87,19 +92,14 @@ class LabKvs(LabMod):
             self.log.append(x.worker_id, mdlog.MAP_BLOCK, ino, i, off)
         # coalesce contiguous blocks into single writes
         pos = 0
-        i = 0
-        while i < nblocks:
-            j = i
-            while j + 1 < nblocks and blocks[j + 1] == blocks[j] + BLOCK:
-                j += 1
-            span = (j - i + 1) * BLOCK
+        for run in runs(blocks, _next_block):
+            span = len(run) * BLOCK
             chunk = value[pos : pos + span]
             if len(chunk) < span:
                 chunk = chunk + b"\x00" * (span - len(chunk))
-            sub = self._blk(req, "blk.write", {"offset": blocks[i], "size": span, "data": chunk})
+            sub = self._blk(req, "blk.write", {"offset": run[0], "size": span, "data": chunk})
             yield from self.forward(sub, x)
             pos += span
-            i = j + 1
         return len(value)
 
     def _get(self, req: LabRequest, key: str, x: ExecContext):
@@ -107,16 +107,10 @@ class LabKvs(LabMod):
         if val is None:
             raise FsError("ENOENT", f"key {key!r}")
         out = bytearray()
-        i = 0
-        while i < len(val.blocks):
-            j = i
-            while j + 1 < len(val.blocks) and val.blocks[j + 1] == val.blocks[j] + BLOCK:
-                j += 1
-            span = (j - i + 1) * BLOCK
-            sub = self._blk(req, "blk.read", {"offset": val.blocks[i], "size": span})
+        for run in runs(val.blocks, _next_block):
+            sub = self._blk(req, "blk.read", {"offset": run[0], "size": len(run) * BLOCK})
             data = yield from self.forward(sub, x)
             out.extend(data)
-            i = j + 1
         return bytes(out[: val.size])
 
     def _remove(self, key: str, x: ExecContext):

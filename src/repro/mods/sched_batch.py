@@ -26,21 +26,21 @@ from __future__ import annotations
 
 from ..core.labmod import ExecContext, LabMod, ModContext
 from ..core.requests import LabRequest
+from ..policy import Extent, noop_hctx
 
 __all__ = ["BatchSchedMod"]
 
 
-class _MergeGroup:
+class _MergeGroup(Extent):
     """An open run of contiguous same-direction requests being merged."""
 
-    __slots__ = ("op", "hctx", "start", "end", "members", "done",
+    __slots__ = ("op", "hctx", "members", "done",
                  "outcomes", "taken", "open", "delivered", "double")
 
     def __init__(self, env, op: str, hctx: int, req, offset: int, size: int) -> None:
+        super().__init__(offset, size)
         self.op = op
         self.hctx = hctx
-        self.start = offset
-        self.end = offset + size
         self.members: list[tuple] = [(req, offset, size)]
         self.done = env.event()
         self.outcomes: list | None = None  # per-member (value, error, window)
@@ -48,18 +48,6 @@ class _MergeGroup:
         self.open = True
         self.delivered = 0
         self.double = 0
-
-    def adjoins(self, op: str, hctx: int, offset: int, size: int) -> bool:
-        if not self.open or op != self.op or hctx != self.hctx:
-            return False
-        return offset == self.end or offset + size == self.start
-
-    def join(self, req, offset: int, size: int) -> int:
-        """Add a member (caller checked adjacency); returns its index."""
-        self.members.append((req, offset, size))
-        self.start = min(self.start, offset)
-        self.end = max(self.end, offset + size)
-        return len(self.members) - 1
 
     def settle(self, outcomes: list) -> None:
         """Record per-member outcomes and wake the parked members."""
@@ -78,7 +66,7 @@ class _MergeGroup:
 
 
 class BatchSchedMod(LabMod):
-    """Front/back-merging scheduler (attrs: nqueues, window_ns, batch_max)."""
+    """Front/back-merging scheduler (attrs: device, window_ns, batch_max)."""
 
     mod_type = "sched"
     accepts = ("blk.",)
@@ -86,7 +74,7 @@ class BatchSchedMod(LabMod):
 
     def __init__(self, uuid: str, ctx: ModContext) -> None:
         super().__init__(uuid, ctx)
-        self.nqueues = int(ctx.attrs.get("nqueues", 8))
+        self.device = ctx.device(uuid)
         #: linger per growth round; re-armed while the group keeps growing
         self.window_ns = int(ctx.attrs.get("window_ns", 10_000))
         self.batch_max = int(ctx.attrs.get("batch_max", 16))
@@ -99,7 +87,7 @@ class BatchSchedMod(LabMod):
         origin = req.payload.get("origin_core")
         if origin is None:
             origin = req.client_pid or 0
-        hctx = origin % self.nqueues
+        hctx = noop_hctx(origin, self.device.nqueues)
         req.payload["hctx"] = hctx
         self.processed += 1
         data = req.payload.get("data")
@@ -112,9 +100,10 @@ class BatchSchedMod(LabMod):
         offset = req.payload["offset"]
         size = req.payload.get("size", len(data or b""))
         for g in self._groups:
-            if len(g.members) < self.batch_max and g.adjoins(req.op, hctx, offset, size):
-                idx = g.join(req, offset, size)
-                return (yield from self._await_member(g, idx, x))
+            if (g.open and g.op == req.op and g.hctx == hctx
+                    and len(g.members) < self.batch_max and g.merge(offset, size)):
+                g.members.append((req, offset, size))
+                return (yield from self._await_member(g, len(g.members) - 1, x))
         g = _MergeGroup(self.ctx.env, req.op, hctx, req, offset, size)
         self._groups.append(g)
         return (yield from self._lead(g, req, x))

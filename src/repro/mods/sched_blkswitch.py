@@ -4,14 +4,16 @@ The userspace port of blk-switch [20] the paper integrates in Fig 8:
 requests are classified into latency (small) and throughput (large)
 classes; the latency class gets dedicated hardware queues the
 throughput class never touches, with least-loaded steering inside each
-lane.  This prevents latency-sensitive requests from queueing behind a
-throughput app's large writes (head-of-line blocking).
+lane (:func:`repro.policy.blkswitch_hctx`, the policy the kernel block
+layer's ``"blk-switch"`` elevator runs too).  This prevents
+latency-sensitive requests from queueing behind a throughput app's large
+writes (head-of-line blocking).
 """
 
 from __future__ import annotations
 
 from ..core.labmod import ExecContext, LabMod, ModContext
-from ..errors import LabStorError
+from ..policy import blkswitch_hctx
 
 __all__ = ["BlkSwitchSchedMod"]
 
@@ -23,31 +25,17 @@ class BlkSwitchSchedMod(LabMod):
 
     def __init__(self, uuid: str, ctx: ModContext) -> None:
         super().__init__(uuid, ctx)
-        dev_name = ctx.attrs.get("device")
-        if dev_name is None:
-            if len(ctx.devices) == 1:
-                dev_name = next(iter(ctx.devices))
-            else:
-                raise LabStorError(f"{uuid}: 'device' attr required to observe queue load")
-        self.device = ctx.devices[dev_name]
+        self.device = ctx.device(uuid)
         # bytes outstanding per hctx, maintained by this scheduler instance
         self.inflight_bytes = [0] * self.device.nqueues
 
-    #: requests at or above this size ride the throughput lane
-    large_threshold = 32 * 1024
+    def _load(self, q: int) -> int:
+        return self.inflight_bytes[q] + self.device.queue_depth(q)
 
     def handle(self, req, x: ExecContext):
-        yield from x.work(self.ctx.cost.blkswitch_sched_ns, span="sched")
+        yield from x.work(self.est_processing_time(req), span="sched")
         size = req.payload.get("size", len(req.payload.get("data", b"")))
-        nq = self.device.nqueues
-        k = max(1, nq // 4)  # queues dedicated to the latency lane
-        lane = range(k, nq) if (size >= self.large_threshold and nq > 1) else range(0, k)
-        if nq == 1:
-            lane = range(0, 1)
-        hctx = min(
-            lane,
-            key=lambda q: (self.inflight_bytes[q] + self.device.queue_depth(q), q),
-        )
+        hctx = blkswitch_hctx(size, self.device.nqueues, self._load)
         req.payload["hctx"] = hctx
         self.inflight_bytes[hctx] += size
         self.processed += 1
@@ -57,7 +45,8 @@ class BlkSwitchSchedMod(LabMod):
             self.inflight_bytes[hctx] -= size
 
     def est_processing_time(self, req) -> int:
-        return self.ctx.cost.blkswitch_sched_ns
+        # noop's keying plus the lane classification and load inspection
+        return self.ctx.cost.noop_sched_ns + self.ctx.cost.blkswitch_extra_ns
 
     def state_update(self, old: "LabMod") -> None:
         super().state_update(old)

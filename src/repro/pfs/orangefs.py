@@ -113,7 +113,7 @@ class OrangeFs:
         for server in self.data:
             cache = getattr(getattr(server, "fs", None), "cache", None)
             if cache is not None:
-                cache._pages.clear()
+                cache.pages.drop_clean()
 
     def read_file(self, path: str):
         nstripes = self._stripe_maps.get(path)

@@ -26,7 +26,7 @@ class OrchestrationProgram(Program):
         )
         spec = StackSpec.linear("blk::/w", [("NoOpSchedMod", "chk.noop"),
                                             ("KernelDriverMod", "chk.drv")])
-        spec.nodes[0].attrs = {"nqueues": 8}
+        spec.nodes[0].attrs = {"device": "nvme"}
         spec.nodes[1].attrs = {"device": "nvme"}
         stack = system.runtime.mount_stack(spec)
         engines = [LabStackEngine(system.client(), stack, system.devices["nvme"])

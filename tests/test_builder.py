@@ -48,8 +48,8 @@ def test_sched_attrs_overlay_device_defaults():
             .build())
     sched = next(n for n in spec.nodes if n.uuid.endswith("sched"))
     assert sched.mod_name == "BatchSchedMod"
-    # derived default survives; explicit attrs overlay it
-    assert sched.attrs == {"nqueues": 8, "window_ns": 5000, "batch_max": 4}
+    # the stack's device survives; explicit attrs overlay it
+    assert sched.attrs == {"device": "nvme", "window_ns": 5000, "batch_max": 4}
 
 
 def test_sched_without_attrs_unchanged():
@@ -57,7 +57,7 @@ def test_sched_without_attrs_unchanged():
     spec = (sys_.stack("fs::/s2").fs(variant="min")
             .sched("NoOpSchedMod").uuid_prefix("sb").build())
     sched = next(n for n in spec.nodes if n.uuid.endswith("sched"))
-    assert sched.attrs == {"nqueues": 8}
+    assert sched.attrs == {"device": "nvme"}
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.core import LabRequest
+from repro.core.labmod import ExecContext, ModContext
 from repro.errors import LabStorError
+from repro.kernel import DEFAULT_COST
+from repro.mods.cache_lru import PAGE, LruCacheMod
 from repro.mods.generic_fs import GenericFS
+from repro.sim import Environment, Tracer
 from repro.system import LabStorSystem
 from repro.units import KiB
 
@@ -38,7 +43,7 @@ def test_writeback_absorbs_writes_no_device_io():
         return dev.bytes_written - before
 
     assert run(sys_, proc()) == 0  # absorbed into dirty pages
-    assert len(lru.dirty) == 4
+    assert len(lru.pages.dirty) == 4
 
 
 def test_writeback_faster_than_writethrough():
@@ -68,7 +73,7 @@ def test_fsync_drains_dirty_pages_to_device():
         return dev.bytes_written - before
 
     assert run(sys_, proc()) >= 16 * KiB
-    assert len(lru.dirty) == 0
+    assert len(lru.pages.dirty) == 0
     assert lru.writebacks >= 1
 
 
@@ -95,7 +100,7 @@ def test_dirty_page_wins_over_stale_device_on_partial_miss():
         yield from gfs.write(fd, b"1" * (4 * KiB), offset=4 * KiB)
         # evict page 0 from the cache so the read partially misses
         first_key = next(iter(lru.pages))
-        if first_key not in lru.dirty:
+        if first_key not in lru.pages.dirty:
             lru.pages.pop(first_key, None)
         data = yield from gfs.read(fd, 8 * KiB, offset=0)
         return data
@@ -129,3 +134,56 @@ def test_crash_loses_unflushed_dirty_pages_by_design():
 
     # the un-fsynced write is gone — the durability trade of write-back
     assert run(sys_, proc()) == b"\x00" * (4 * KiB)
+
+
+# --- partial pages: LruCacheMod straight into a recording device ------------
+def _lru_into_disk(policy):
+    env = Environment()
+    lru = LruCacheMod("c0", ModContext(env, DEFAULT_COST, Tracer(), {},
+                                       {"write_policy": policy}))
+    disk = bytearray(4 * PAGE)
+
+    class Disk:
+        uuid = "disk"
+
+        def handle(self, req, x):
+            p = req.payload
+            yield x.env.timeout(1)
+            if req.op == "blk.write":
+                disk[p["offset"]:p["offset"] + len(p["data"])] = p["data"]
+            elif req.op == "blk.trim":
+                disk[p["offset"]:p["offset"] + p["size"]] = bytes(p["size"])
+            elif req.op == "blk.read":
+                return bytes(disk[p["offset"]:p["offset"] + p["size"]])
+            return None
+
+    lru.next = [Disk()]
+    x = ExecContext(env, Tracer())
+
+    def io(op, **payload):
+        return lru.handle(LabRequest(op=op, payload=payload), x)
+
+    return env, io, disk
+
+
+def test_unaligned_write_keeps_absorbed_bytes_of_a_partial_page():
+    env, io, disk = _lru_into_disk("back")
+
+    def proc():
+        yield from io("blk.write", offset=0, data=b"A" * PAGE)  # absorbed
+        yield from io("blk.write", offset=100, data=b"B" * 10)  # unaligned
+        yield from io("blk.flush", offset=0, size=0)
+
+    env.run(env.process(proc()))
+    assert disk[:PAGE] == b"A" * 100 + b"B" * 10 + b"A" * (PAGE - 110)
+
+
+def test_unaligned_trim_uncaches_every_page_it_touches():
+    env, io, disk = _lru_into_disk("through")
+
+    def proc():
+        yield from io("blk.write", offset=0, data=b"C" * (2 * PAGE))
+        yield from io("blk.trim", offset=100, size=PAGE)  # pages 0 and 1
+        return (yield from io("blk.read", offset=PAGE, size=PAGE))
+
+    assert env.run(env.process(proc())) == bytes(100) + b"C" * (PAGE - 100)

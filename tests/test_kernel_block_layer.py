@@ -3,7 +3,8 @@
 import pytest
 
 from repro.devices import IoOp, make_device
-from repro.kernel import BlockLayer, DEFAULT_COST, KernelBlkSwitch, KernelNoop
+from repro.errors import KernelError
+from repro.kernel import BlockLayer, DEFAULT_COST
 from repro.sim import Environment
 from repro.units import KiB, MiB
 
@@ -41,19 +42,19 @@ def test_block_layer_adds_software_overhead():
 def test_noop_maps_by_origin_core():
     env = Environment()
     dev = make_device(env, "nvme", nqueues=4)
-    bl = BlockLayer(env, dev, scheduler=KernelNoop())
-    assert bl.scheduler.select_hctx(bl, 4096, origin_core=6) == 2
+    bl = BlockLayer(env, dev, scheduler="noop")
+    assert bl.steer(4096, origin_core=6) == 2
 
 
 def test_blk_switch_lane_selection():
     env = Environment()
     dev = make_device(env, "nvme", nqueues=4)
-    bl = BlockLayer(env, dev, scheduler=KernelBlkSwitch())
+    bl = BlockLayer(env, dev, scheduler="blk-switch")
     bl.inflight_bytes = [100, 5, 100, 7]
     # small request: confined to the latency lane (queue 0) even if loaded
-    assert bl.scheduler.select_hctx(bl, 4096, origin_core=0) == 0
+    assert bl.steer(4096, origin_core=0) == 0
     # large request: least-loaded throughput queue, never the latency lane
-    assert bl.scheduler.select_hctx(bl, 64 * KiB, origin_core=0) == 1
+    assert bl.steer(64 * KiB, origin_core=0) == 1
 
 
 def test_blk_switch_avoids_hol_blocking():
@@ -85,8 +86,8 @@ def test_blk_switch_avoids_hol_blocking():
         env.run()
         return lat["small"]
 
-    noop_lat = run(KernelNoop())
-    blk_lat = run(KernelBlkSwitch())
+    noop_lat = run("noop")
+    blk_lat = run("blk-switch")
     assert blk_lat < noop_lat
 
 
@@ -117,8 +118,17 @@ def test_explicit_hctx_skips_scheduler():
 
 def test_set_scheduler_swaps_elevator():
     env = Environment()
-    dev = make_device(env, "nvme")
+    dev = make_device(env, "nvme", nqueues=4)
     bl = BlockLayer(env, dev)
-    assert isinstance(bl.scheduler, KernelNoop)
-    bl.set_scheduler(KernelBlkSwitch())
-    assert bl.scheduler.name == "linux-blk-switch"
+    assert bl.scheduler == "noop"
+    assert bl.steer(64 * KiB, origin_core=0) == 0
+    bl.scheduler = "blk-switch"  # echo blk-switch > .../queue/scheduler
+    bl.inflight_bytes = [0, 100, 5, 100]
+    assert bl.steer(64 * KiB, origin_core=0) == 2
+
+
+def test_unknown_scheduler_rejected():
+    env = Environment()
+    bl = BlockLayer(env, make_device(env, "nvme"), scheduler="cfq")
+    with pytest.raises(KernelError, match="cfq"):
+        bl.steer(4096, origin_core=0)

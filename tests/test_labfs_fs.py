@@ -196,7 +196,7 @@ def test_cached_read_faster_than_cold_read():
         lru = sys_.runtime.registry.get(
             next(u for u in sys_.runtime.registry.uuids() if u.endswith("lru"))
         )
-        lru.pages.clear()  # force a cold first read
+        lru.pages.drop_clean()  # force a cold first read
         t0 = sys_.env.now
         yield from gfs.read_file("fs::/t/hot")
         cold = sys_.env.now - t0

@@ -168,7 +168,8 @@ def _chain_sched_to_sink(env, sched):
 
 def test_noop_maps_by_origin_core():
     env = Environment()
-    sched = NoOpSchedMod("n0", ctx_with(env, {}, {"nqueues": 4}))
+    dev = make_device(env, "nvme", nqueues=4)
+    sched = NoOpSchedMod("n0", ctx_with(env, {"nvme": dev}))
     seen = _chain_sched_to_sink(env, sched)
     x = ExecContext(env, Tracer())
 
